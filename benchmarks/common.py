@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence
 from repro.baselines import ALL_SYSTEMS
 from repro.baselines.common import InfeasibleScenario
 from repro.config import MODEL_SPECS, ClusterSpec, RlhfWorkload
-from repro.rlhf.core import AlgoType
+from repro.rlhf.core import MODELS_BY_ALGO, AlgoType
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -38,18 +38,6 @@ END_TO_END_GRID = [
     ("llama-70b", 8),
     ("llama-70b", 16),
 ]
-
-PPO_MODELS = ("actor", "critic", "reference", "reward")
-SAFE_MODELS = ("actor", "critic", "reference", "reward", "cost")
-REMAX_MODELS = ("actor", "reference", "reward")
-
-MODELS_BY_ALGO = {
-    AlgoType.PPO: PPO_MODELS,
-    AlgoType.REMAX: REMAX_MODELS,
-    AlgoType.SAFE_RLHF: SAFE_MODELS,
-    AlgoType.GRPO: REMAX_MODELS,
-}
-
 
 def workload() -> RlhfWorkload:
     """The §8.1 workload: 1024/1024 tokens, global batch 1024, 8 updates."""

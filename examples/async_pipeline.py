@@ -26,75 +26,14 @@ Run:  python examples/async_pipeline.py
 
 import argparse
 
-import numpy as np
-
-from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
 from repro.data import PromptDataset
-from repro.models.tinylm import TinyLMConfig
-from repro.pipeline import AsyncPipelineDriver, PipelineConfig
-from repro.rlhf import AlgoType
-from repro.rlhf.trainers import TrainerConfig
-from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
-from repro.runtime.timeline import build_timeline
-
-LM_CFG = TinyLMConfig(
-    n_layers=2,
-    hidden_size=32,
-    n_heads=4,
-    ffn_hidden_size=48,
-    vocab_size=16,
-    max_seq_len=32,
+from repro.pipeline import (
+    AsyncPipelineDriver,
+    PipelineConfig,
+    staleness_zero_check,
 )
-
-
-def build_system():
-    """PPO with the actor alone on its pool — the placement overlap needs.
-
-    Critic, reference, and reward share a scorer pool; in the synchronous
-    loop the actor idles while the scoring chain runs on it.  The async
-    driver fills that idle with the next iteration's generation.
-    """
-    actor_par = ParallelConfig(pp=1, tp=2, dp=1)
-    scorer_par = ParallelConfig(pp=1, tp=1, dp=1)
-    plan = PlacementPlan(
-        pools={"actor": 2, "scorer": 1},
-        assignments={
-            "actor": ModelAssignment(
-                "actor", actor_par, GenParallelConfig.derive(actor_par, 1, 1)
-            ),
-            "critic": ModelAssignment("scorer", scorer_par),
-            "reference": ModelAssignment("scorer", scorer_par),
-            "reward": ModelAssignment("scorer", scorer_par),
-        },
-    )
-    return build_rlhf_system(
-        AlgoType.PPO,
-        plan,
-        LM_CFG,
-        cluster_spec=ClusterSpec(n_machines=1, gpus_per_machine=4),
-        trainer_config=TrainerConfig(kl_coef=0.01, seed=7),
-        max_new_tokens=6,
-        lr=5e-3,
-        seed=7,
-    )
-
-
-def states_equal(sys_a, sys_b) -> bool:
-    for name in sys_a.groups:
-        for wa, wb in zip(
-            sys_a.groups[name].workers, sys_b.groups[name].workers
-        ):
-            sa, sb = wa.state_for_checkpoint(), wb.state_for_checkpoint()
-            if set(sa) != set(sb):
-                return False
-            for key in sa:
-                va, vb = sa[key], sb[key]
-                if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
-                    if not np.array_equal(np.asarray(va), np.asarray(vb)):
-                        return False
-                elif va != vb:
-                    return False
-    return True
+from repro.runtime.presets import disaggregated_ppo
+from repro.runtime.timeline import build_timeline
 
 
 def main(argv=None) -> int:
@@ -128,27 +67,23 @@ def main(argv=None) -> int:
             n_prompts=64, prompt_length=4, vocab_size=16, seed=1
         )
 
-    # ---- stage 1: the synchronous reference --------------------------------
-    print(f"stage 1: synchronous PPO, {args.iterations} iterations")
-    sync_sys = build_system()
-    sync_sys.trainer.train(dataset(), args.iterations, args.batch)
+    # ---- stages 1+2: the synchronous reference, and W=0 bit for bit --------
+    # (actor alone on its pool, critic/reference/reward on a scorer pool)
+    print(f"stages 1+2: synchronous PPO vs an EMPTY window (W=0), "
+          f"{args.iterations} iterations each")
+    sync_sys, bit_exact = staleness_zero_check(
+        disaggregated_ppo, dataset, args.iterations, args.batch
+    )
     sync_makespan = build_timeline(sync_sys.controller).makespan
-    print(f"  modeled makespan {sync_makespan:.1f}s")
-
-    # ---- stage 2: staleness=0 must be the same loop, bit for bit -----------
-    print("stage 2: async driver with an EMPTY window (W=0)")
-    exact_sys = build_system()
-    AsyncPipelineDriver(
-        exact_sys.trainer, PipelineConfig(staleness_window=0)
-    ).train(dataset(), args.iterations, args.batch)
-    if not states_equal(sync_sys, exact_sys):
+    print(f"  synchronous modeled makespan {sync_makespan:.1f}s")
+    if not bit_exact:
         print("  BIT-EXACTNESS VIOLATED — the relaxation leaked into W=0")
         return 1
-    print("  bit-exact with the synchronous trainer (weights + optimizer)")
+    print("  W=0 is bit-exact with the synchronous trainer (weights + optimizer)")
 
     # ---- stage 3: the overlapped schedule ----------------------------------
     print(f"stage 3: one-step-off overlap (W={args.staleness})")
-    async_sys = build_system()
+    async_sys = disaggregated_ppo()
     driver = AsyncPipelineDriver(
         async_sys.trainer,
         PipelineConfig(

@@ -16,19 +16,11 @@ Run:  python examples/execution_timelines.py
 
 from repro.config import GenParallelConfig, ParallelConfig
 from repro.data import PromptDataset, SyntheticPreferenceTask
-from repro.models.tinylm import TinyLMConfig
 from repro.rlhf import AlgoType
 from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
+from repro.runtime.presets import TINY_LM
 from repro.runtime.timeline import build_timeline
 
-CFG = TinyLMConfig(
-    n_layers=2,
-    hidden_size=32,
-    n_heads=4,
-    ffn_hidden_size=48,
-    vocab_size=16,
-    max_seq_len=32,
-)
 PAR = ParallelConfig(1, 2, 1)
 GEN = GenParallelConfig.derive(PAR, 1, 1)
 ONE = ParallelConfig(1, 1, 1)
@@ -73,7 +65,7 @@ def main() -> None:
         system = build_rlhf_system(
             AlgoType.PPO,
             plan_for(kind),
-            CFG,
+            TINY_LM,
             reward_fn=TASK.reward,
             max_new_tokens=5,
         )

@@ -25,73 +25,31 @@ import tempfile
 
 import numpy as np
 
-from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
-from repro.data import PromptDataset, SyntheticPreferenceTask
+from repro.config import ClusterSpec
+from repro.data import PromptDataset
 from repro.faults import FaultInjector, FaultPlan
-from repro.models.tinylm import TinyLMConfig
-from repro.rlhf import AlgoType
-from repro.rlhf.trainers import TrainerConfig
-from repro.runtime import (
-    ModelAssignment,
-    PlacementPlan,
-    build_rlhf_system,
-    train_with_recovery,
-)
-
-CFG = TinyLMConfig(
-    n_layers=2,
-    hidden_size=32,
-    n_heads=4,
-    ffn_hidden_size=48,
-    vocab_size=16,
-    max_seq_len=32,
-)
-TASK = SyntheticPreferenceTask(vocab_size=16, target_token=7)
-PAR = ParallelConfig(pp=1, tp=2, dp=1)
-
-
-def build(cluster=None, cluster_spec=None):
-    plan = PlacementPlan(
-        pools={"main": 2, "r": 1},
-        assignments={
-            "actor": ModelAssignment("main", PAR, GenParallelConfig.derive(PAR, 1, 1)),
-            "critic": ModelAssignment("main", PAR),
-            "reference": ModelAssignment("main", PAR),
-            "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
-        },
-    )
-    return build_rlhf_system(
-        AlgoType.PPO,
-        plan,
-        CFG,
-        cluster_spec=cluster_spec,
-        trainer_config=TrainerConfig(kl_coef=0.01, seed=7),
-        reward_fn=TASK.reward,
-        max_new_tokens=6,
-        lr=5e-3,
-        seed=7,
-        cluster=cluster,
-    )
+from repro.runtime import train_with_recovery
+from repro.runtime.presets import tiny_ppo
 
 
 def main() -> None:
     dataset = PromptDataset(n_prompts=128, prompt_length=4, vocab_size=16, seed=1)
 
     print("reference run: 6 uninterrupted PPO iterations")
-    reference = build()
+    reference = tiny_ppo()
     ref_history = reference.trainer.train(dataset, 6, 8)
     print("  rewards:", [round(h["score_mean"], 3) for h in ref_history])
 
     with tempfile.TemporaryDirectory() as ckpt_dir:
         print("\ninterrupted run: 3 iterations, checkpoint, simulated crash")
-        first = build()
+        first = tiny_ppo()
         first.trainer.train(dataset, 3, 8)
         first.controller.save_checkpoint(ckpt_dir)
         trainer_state = first.trainer.state_dict()
         del first  # the whole job is gone
 
         print("recovery: rebuild from scratch, restore checkpoint, resume")
-        resumed = build()
+        resumed = tiny_ppo()
         resumed.controller.load_checkpoint(ckpt_dir)
         resumed.trainer.load_state_dict(trainer_state)
         batches = dataset.iter_batches(8, epochs=10**6)
@@ -120,7 +78,7 @@ def main() -> None:
     injector = FaultInjector(FaultPlan().kill_machine(0, at_step=30))
     with tempfile.TemporaryDirectory() as ckpt_dir:
         system, history, report = train_with_recovery(
-            lambda cluster: build(cluster, cluster_spec=spec),
+            lambda cluster: tiny_ppo(spec, cluster),
             dataset,
             n_iterations=6,
             batch_size=8,

@@ -22,22 +22,14 @@ import numpy as np
 
 from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
 from repro.data import PromptDataset, SyntheticPreferenceTask
-from repro.models.tinylm import TinyLMConfig
 from repro.rlhf import AlgoType
 from repro.rlhf.pipeline import RewardModelTrainer, SFTTrainer
 from repro.rlhf.trainers import TrainerConfig
 from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
+from repro.runtime.presets import TINY_LM
 from repro.single_controller import SingleController, WorkerGroup
 from repro.workers.scorers import TrainableRewardWorker
 
-LM_CFG = TinyLMConfig(
-    n_layers=2,
-    hidden_size=32,
-    n_heads=4,
-    ffn_hidden_size=48,
-    vocab_size=16,
-    max_seq_len=32,
-)
 TASK = SyntheticPreferenceTask(vocab_size=16, target_token=7)
 
 
@@ -71,7 +63,7 @@ def main(argv=None) -> int:
     system = build_rlhf_system(
         AlgoType.PPO,
         plan,
-        LM_CFG,
+        TINY_LM,
         trainer_config=TrainerConfig(kl_coef=0.01, ppo_epochs=2, updates_per_epoch=2),
         max_new_tokens=8,
         lr=5e-3,
@@ -101,7 +93,7 @@ def main(argv=None) -> int:
         controller=controller,
         name="reward",
         worker_kwargs={
-            "model_config": dataclasses.replace(LM_CFG, output_head="scalar"),
+            "model_config": dataclasses.replace(TINY_LM, output_head="scalar"),
             "lr": 5e-3,
         },
     )

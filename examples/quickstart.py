@@ -14,23 +14,13 @@ Run:  python examples/quickstart.py
 
 from repro.config import GenParallelConfig, ParallelConfig
 from repro.data import PromptDataset, SyntheticPreferenceTask
-from repro.models.tinylm import TinyLMConfig
 from repro.rlhf import AlgoType
 from repro.rlhf.trainers import TrainerConfig
 from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
+from repro.runtime.presets import TINY_LM
 
 
 def main() -> None:
-    # the "LLM": a miniature Llama-style transformer the simulator can train
-    model_config = TinyLMConfig(
-        n_layers=2,
-        hidden_size=32,
-        n_heads=4,
-        ffn_hidden_size=48,
-        vocab_size=16,
-        max_seq_len=32,
-    )
-
     # placement: actor/critic/reference colocated on 4 GPUs with 3D
     # parallelism 1-2-2; the programmatic reward runs on a 5th device
     train_parallel = ParallelConfig(pp=1, tp=2, dp=2)
@@ -45,11 +35,13 @@ def main() -> None:
         },
     )
 
+    # the "LLM" is TINY_LM: a 2-layer Llama-style transformer (hidden 32,
+    # vocab 16) the simulator can train
     task = SyntheticPreferenceTask(vocab_size=16, target_token=7)
     system = build_rlhf_system(
         AlgoType.PPO,
         plan,
-        model_config,
+        TINY_LM,
         trainer_config=TrainerConfig(kl_coef=0.01, ppo_epochs=2, updates_per_epoch=2),
         reward_fn=task.reward,
         max_new_tokens=8,

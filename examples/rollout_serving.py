@@ -23,27 +23,23 @@ with the sequential sampler.
 Run:  python examples/rollout_serving.py
 """
 
+import dataclasses
+
 import numpy as np
 
 from repro.config import GenParallelConfig, ParallelConfig
 from repro.data import PromptDataset
-from repro.models.tinylm import TinyLM, TinyLMConfig
+from repro.models.tinylm import TinyLM
 from repro.perf.continuous_batching import (
     continuous_schedule_stats,
     sample_response_lengths,
 )
 from repro.rlhf import AlgoType
 from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
+from repro.runtime.presets import TINY_LM
 from repro.serving import RolloutServer, ServingConfig, static_batch_steps
 
-CFG = TinyLMConfig(
-    n_layers=2,
-    hidden_size=32,
-    n_heads=4,
-    ffn_hidden_size=48,
-    vocab_size=16,
-    max_seq_len=48,
-)
+CFG = dataclasses.replace(TINY_LM, max_seq_len=48)
 
 
 def part1_matched_workload():
@@ -119,14 +115,6 @@ def part3_serving_backed_actor():
     print("=" * 72)
     par = ParallelConfig(pp=1, tp=2, dp=1)
     gen = GenParallelConfig.derive(par, 1, 1)
-    cfg = TinyLMConfig(
-        n_layers=2,
-        hidden_size=32,
-        n_heads=4,
-        ffn_hidden_size=48,
-        vocab_size=16,
-        max_seq_len=32,
-    )
     plan = PlacementPlan(
         pools={"main": 2},
         assignments={
@@ -139,7 +127,7 @@ def part3_serving_backed_actor():
         return build_rlhf_system(
             AlgoType.PPO,
             plan,
-            cfg,
+            TINY_LM,
             max_new_tokens=8,
             lr=5e-3,
             eos_token_id=0,

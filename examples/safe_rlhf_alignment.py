@@ -15,21 +15,13 @@ import numpy as np
 
 from repro.config import GenParallelConfig, ParallelConfig
 from repro.data import PromptDataset, SyntheticPreferenceTask
-from repro.models.tinylm import TinyLMConfig
 from repro.rlhf import AlgoType
 from repro.rlhf.trainers import TrainerConfig
 from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
+from repro.runtime.presets import TINY_LM
 
 
 def main() -> None:
-    model_config = TinyLMConfig(
-        n_layers=2,
-        hidden_size=32,
-        n_heads=4,
-        ffn_hidden_size=48,
-        vocab_size=16,
-        max_seq_len=32,
-    )
     task = SyntheticPreferenceTask(
         vocab_size=16, target_token=7, unsafe_token=3
     )
@@ -54,7 +46,7 @@ def main() -> None:
     system = build_rlhf_system(
         AlgoType.SAFE_RLHF,
         plan,
-        model_config,
+        TINY_LM,
         trainer_config=TrainerConfig(
             kl_coef=0.01,
             cost_limit=0.02,

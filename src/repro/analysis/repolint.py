@@ -17,7 +17,8 @@ depends on:
 ``RL306``  no unused ``# repro-lint: ignore[...]`` comments — a suppression
            that silences nothing is a stale waiver (ruff's unused-noqa)
 ``RL307``  no direct iteration over ``set`` / ``frozenset`` / ``dict
-           .values()`` in the protocol-feeding packages (``repro/pipeline``,
+           .values()`` — or over a local name every binding of which is a
+           set — in the protocol-feeding packages (``repro/pipeline``,
            ``repro/fleet``, ``repro/single_controller``) — hash/insertion
            order there is schedule order, and the MC6xx-verified protocols
            assume deterministic dispatch; iterate something sorted
@@ -164,6 +165,8 @@ class _LintVisitor(ast.NodeVisitor):
         self.imports_serialization = False
         self.module_level_names: Set[str] = set()
         self._class_stack: List[str] = []
+        #: Per function scope: names bound only to sets (RL307).
+        self._set_names: List[Set[str]] = [set()]
         posix = filename.replace("\\", "/")
         self.schedule_scoped = any(p in posix for p in _SCHEDULE_SCOPED)
         self.hotpath_scoped = any(p in posix for p in _HOTPATH_SCOPED)
@@ -367,24 +370,84 @@ class _LintVisitor(ast.NodeVisitor):
                 ),
             )
 
-    def _unordered_iterable(self, node: ast.AST) -> Optional[str]:
-        """What makes ``node`` a nondeterministically ordered iterable."""
+    @staticmethod
+    def _set_display(node: ast.AST) -> Optional[str]:
+        """``node`` builds a set: a set display or a set()/frozenset() call."""
         if isinstance(node, (ast.Set, ast.SetComp)):
             return "a set literal"
-        if isinstance(node, ast.Call):
-            if (
-                isinstance(node.func, ast.Name)
-                and node.func.id in ("set", "frozenset")
-            ):
-                return f"{node.func.id}(...)"
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "values"
-                and not node.args
-                and not node.keywords
-            ):
-                return "a dict .values() view"
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("set", "frozenset")
+        ):
+            return f"{node.func.id}(...)"
         return None
+
+    def _unordered_iterable(self, node: ast.AST) -> Optional[str]:
+        """What makes ``node`` a nondeterministically ordered iterable."""
+        what = self._set_display(node)
+        if what is not None:
+            return what
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "values"
+            and not node.args
+            and not node.keywords
+        ):
+            return "a dict .values() view"
+        if isinstance(node, ast.Name) and node.id in self._set_names[-1]:
+            return f"set-bound name {node.id!r}"
+        return None
+
+    def _set_bound_names(self, func: ast.AST) -> Set[str]:
+        """Names every binding of which in ``func`` is a set display or a
+        set()/frozenset() call — iterating one is iterating a set (RL307).
+
+        Any other binding anywhere in ``func`` (parameters, loop targets,
+        imports, nested definitions...) clears the name, so the rule only
+        fires where the name cannot hold anything but a set.
+        """
+        set_bound: Set[str] = set()
+        other: Set[str] = set()
+        set_targets: Set[int] = set()
+        for node in ast.walk(func):  # breadth-first: Assign before targets
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+                self._set_display(node.value) is not None
+            ):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if all(isinstance(t, ast.Name) for t in targets):
+                    set_bound.update(t.id for t in targets)
+                    set_targets.update(map(id, targets))
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                if id(node) not in set_targets:
+                    other.add(node.id)
+            elif isinstance(node, ast.arg):
+                other.add(node.arg)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                other.update(node.names)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                other.update(
+                    (a.asname or a.name).split(".")[0] for a in node.names
+                )
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                other.add(node.name)
+            elif node is not func and isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                other.add(node.name)
+        return set_bound - other
+
+    def _visit_scope(self, node: ast.AST) -> None:
+        # closures see the enclosing function's set-bound names
+        self._set_names.append(
+            self._set_names[-1] | self._set_bound_names(node)
+        )
+        self.generic_visit(node)
+        self._set_names.pop()
+
+    visit_FunctionDef = _visit_scope
+    visit_AsyncFunctionDef = _visit_scope
 
     def _check_unordered_iteration(self, node: ast.AST, iter_node: ast.AST
                                    ) -> None:

@@ -620,11 +620,12 @@ class ShapeFlowChecker:
         the off-policy correction) at the first overlapped step — SF701.
         """
         from repro.rlhf.core import AlgoType
+        from repro.runtime.presets import tiny_plan
 
         report = report if report is not None else AnalysisReport("shapeflow")
         algo = AlgoType(algo) if algo is not None else AlgoType.PPO
         if plan is None:
-            plan = _tiny_plan(algo)
+            plan = tiny_plan(algo)
         window = pipeline_config.staleness_window
         weighted = getattr(pipeline_config, "importance_weighting", True)
         report.note_checked("pipeline_configs")
@@ -1278,36 +1279,6 @@ class ShapeFlowChecker:
 # ---------------------------------------------------------------------------
 
 
-def _tiny_plan(algo: Any) -> Any:
-    """The cli's tiny example placement: 2-GPU main pool + 1-GPU reward."""
-    from repro.config import GenParallelConfig, ParallelConfig
-    from repro.rlhf.core import AlgoType
-    from repro.runtime.placement import ModelAssignment, PlacementPlan
-    from repro.runtime.builder import required_models
-
-    par = ParallelConfig(pp=1, tp=2, dp=1)
-    gen = GenParallelConfig.derive(par, 1, 1)
-    assignments = {}
-    for role in required_models(AlgoType(algo)):
-        if role == "actor":
-            assignments[role] = ModelAssignment("main", par, gen)
-        elif role == "reward":
-            assignments[role] = ModelAssignment(
-                "r", _one_gpu_parallel()
-            )
-        else:
-            assignments[role] = ModelAssignment("main", par)
-    return PlacementPlan(
-        pools={"main": 2, "r": 1}, assignments=assignments
-    )
-
-
-def _one_gpu_parallel() -> Any:
-    from repro.config import ParallelConfig
-
-    return ParallelConfig(pp=1, tp=1, dp=1)
-
-
 def shipped_graph_reports(
     batch: int = 8,
     mutate: Optional[str] = None,
@@ -1327,6 +1298,7 @@ def shipped_graph_reports(
     )
     from repro.pipeline import PipelineConfig
     from repro.rlhf.core import AlgoType
+    from repro.runtime.presets import tiny_plan
 
     chk = checker if checker is not None else ShapeFlowChecker(mutate=mutate)
     common = dict(
@@ -1338,7 +1310,7 @@ def shipped_graph_reports(
             "shapeflow[tiny-ppo]",
             chk.check_plan(
                 AlgoType.PPO,
-                _tiny_plan(AlgoType.PPO),
+                tiny_plan(AlgoType.PPO),
                 function_rewards=("reward",),
                 **common,
             ),
@@ -1349,7 +1321,7 @@ def shipped_graph_reports(
             "shapeflow[grpo]",
             chk.check_plan(
                 AlgoType.GRPO,
-                _tiny_plan(AlgoType.GRPO),
+                tiny_plan(AlgoType.GRPO),
                 function_rewards=("reward",),
                 **common,
             ),
@@ -1360,7 +1332,7 @@ def shipped_graph_reports(
             "shapeflow[serving-ppo]",
             chk.check_plan(
                 AlgoType.PPO,
-                _tiny_plan(AlgoType.PPO),
+                tiny_plan(AlgoType.PPO),
                 function_rewards=("reward",),
                 eos_token_id=3,
                 use_serving=True,

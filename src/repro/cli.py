@@ -1,6 +1,7 @@
-"""Command-line interface for the analytical tools.
+"""Command-line interface: a thin layer over the library's analytic and
+functional entry points.
 
-Five subcommands, mirroring the evaluation's workflows:
+Thirteen subcommands, mirroring the evaluation's workflows:
 
 * ``throughput`` — compare HybridFlow and the baselines on one scenario
   (one row of Figures 9-11).
@@ -11,23 +12,34 @@ Five subcommands, mirroring the evaluation's workflows:
 * ``sweep-gen`` — Figure 15's generation-TP sweep for one model.
 * ``map-hetero`` — device mapping over heterogeneous zones (the extension
   §6 sketches).
-* ``faults`` — run a tiny functional PPO job under injected failures with
+* ``faults`` — run the tiny functional PPO job
+  (:func:`repro.runtime.presets.tiny_ppo`) under injected failures with
   automatic recovery (§9) and report MTTR plus the checkpoint-interval
   goodput trade-off.
-* ``trace`` — run the tiny functional PPO job (optionally fault-injected)
-  and export a Chrome ``trace_event`` JSON with one track per pool
-  (Figure 3) plus the runtime-span track, verifying the exported busy/idle
-  fractions against the in-memory timeline accounting.
+* ``trace`` — run the same job (optionally with one device kill) and export
+  a Chrome ``trace_event`` JSON with one track per pool (Figure 3) plus the
+  runtime-span track, verifying the exported busy/idle fractions against
+  the in-memory timeline accounting.
 * ``metrics`` — same run, dumped as Prometheus text exposition.
-* ``fleet`` — gang-schedule several tenant RLHF jobs onto one shared
-  simulated cluster under injected machine/rack kills, with elastic
-  resizing, checkpoint-and-evict preemption, and per-job MTTR/goodput/
-  fairness accounting (``repro.fleet``).
 * ``serve`` — run the functional continuous-batching rollout server
   (paged KV blocks, priority scheduling, preempt-and-recompute) on a
   synthetic request stream, report latency/SLO statistics, and cross-check
   the measured schedule against the analytic model of
   ``repro.perf.continuous_batching``.
+* ``fleet`` — gang-schedule several tenant RLHF jobs onto one shared
+  simulated cluster under injected machine/rack kills, with elastic
+  resizing, checkpoint-and-evict preemption, and per-job MTTR/goodput/
+  fairness accounting (``repro.fleet``).
+* ``check`` — the static and post-run analysis gate (``repro.analysis``):
+  repo lint, dataflow, sharding, trace audit and race passes, plus the
+  protocol model checker (``--models``) and symbolic shape flow
+  (``--shapes``).
+* ``bench`` — run the pinned perf workloads (``repro.perf.bench``) and
+  compare them against the committed ``BENCH_perf.json`` (or gate a fleet
+  record against ``BENCH_fleet.json``).
+* ``pipeline`` — the async one-step-off pipeline (``repro.pipeline``):
+  the staleness=0 bit-exactness self-check, then the overlapped run with
+  an optional trace + race-detector gate.
 
 Examples::
 
@@ -41,6 +53,9 @@ Examples::
     python -m repro.cli metrics --out metrics.prom
     python -m repro.cli serve --requests 16 --slots 4 --blocks 12
     python -m repro.cli fleet --jobs 3 --kill-machine 0 --kill-machine 2
+    python -m repro.cli check --strict --shapes
+    python -m repro.cli bench --check
+    python -m repro.cli pipeline --staleness 1 --iterations 3 --trace a.json
 """
 
 from __future__ import annotations
@@ -63,14 +78,7 @@ from repro.hybrid_engine.overhead import EngineKind, transition_overhead
 from repro.mapping import map_dataflow
 from repro.perf.generation import generation_latency
 from repro.perf.transition import transition_time
-from repro.rlhf.core import AlgoType
-
-_MODELS_BY_ALGO = {
-    AlgoType.PPO: ("actor", "critic", "reference", "reward"),
-    AlgoType.REMAX: ("actor", "reference", "reward"),
-    AlgoType.SAFE_RLHF: ("actor", "critic", "reference", "reward", "cost"),
-    AlgoType.GRPO: ("actor", "reference", "reward"),
-}
+from repro.rlhf.core import MODELS_BY_ALGO, AlgoType
 
 
 def _common_args(parser: argparse.ArgumentParser) -> None:
@@ -114,7 +122,7 @@ def _workload(args: argparse.Namespace) -> RlhfWorkload:
 def _specs(args: argparse.Namespace):
     algo = AlgoType(args.algo)
     return algo, {
-        role: MODEL_SPECS[args.model] for role in _MODELS_BY_ALGO[algo]
+        role: MODEL_SPECS[args.model] for role in MODELS_BY_ALGO[algo]
     }
 
 
@@ -287,102 +295,24 @@ def cmd_map_hetero(args: argparse.Namespace) -> int:
 def cmd_faults(args: argparse.Namespace) -> int:
     # Functional-path imports stay local so the analytic subcommands keep
     # their fast import time.
-    import tempfile
-
-    from repro.config import GenParallelConfig as GenPC
-    from repro.data import PromptDataset, SyntheticPreferenceTask
-    from repro.faults import FaultInjector, FaultPlan, RetryPolicy
-    from repro.models.tinylm import TinyLMConfig
     from repro.perf import goodput_vs_interval, optimal_checkpoint_interval
-    from repro.rlhf.trainers import TrainerConfig
-    from repro.runtime import (
-        ModelAssignment,
-        PlacementPlan,
-        build_rlhf_system,
-        train_with_recovery,
-    )
 
-    cfg = TinyLMConfig(
-        n_layers=2,
-        hidden_size=32,
-        n_heads=4,
-        ffn_hidden_size=48,
-        vocab_size=16,
-        max_seq_len=32,
-    )
-    task = SyntheticPreferenceTask(vocab_size=16, target_token=7)
-    par = ParallelConfig(pp=1, tp=2, dp=1)
-    spec = ClusterSpec(
-        n_machines=args.machines, gpus_per_machine=args.gpus_per_machine
-    )
-
-    def build(cluster=None):
-        plan = PlacementPlan(
-            pools={"main": 2, "r": 1},
-            assignments={
-                "actor": ModelAssignment("main", par, GenPC.derive(par, 1, 1)),
-                "critic": ModelAssignment("main", par),
-                "reference": ModelAssignment("main", par),
-                "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
-            },
-        )
-        return build_rlhf_system(
-            AlgoType.PPO,
-            plan,
-            cfg,
-            cluster_spec=spec,
-            trainer_config=TrainerConfig(kl_coef=0.01, seed=7),
-            reward_fn=task.reward,
-            max_new_tokens=6,
-            lr=5e-3,
-            seed=7,
-            cluster=cluster,
-        )
-
-    fault_plan = FaultPlan()
-    if args.kill_machine is not None:
-        if not 0 <= args.kill_machine < spec.n_machines:
-            print(
-                f"--kill-machine {args.kill_machine} out of range for "
-                f"{spec.n_machines} machine(s)",
-                file=sys.stderr,
-            )
-            return 2
-        fault_plan.kill_machine(args.kill_machine, at_step=args.at_step)
-    if args.kill_device is not None:
-        if not 0 <= args.kill_device < spec.n_gpus:
-            print(
-                f"--kill-device {args.kill_device} out of range for "
-                f"{spec.n_gpus} GPU(s)",
-                file=sys.stderr,
-            )
-            return 2
-        fault_plan.kill_device(args.kill_device, at_step=args.at_step)
-    if args.transients:
-        fault_plan.transient(at_step=args.at_step, count=args.transients)
-    injector = FaultInjector(fault_plan)
-
+    spec = _tiny_cluster(args)
+    try:
+        fault_plan = _fault_plan(args, spec)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     print(
         f"fault-injected PPO on {spec.n_gpus} simulated GPUs "
         f"({args.iterations} iterations, checkpoint every {args.ckpt_every}, "
         f"{len(fault_plan)} scheduled fault(s))"
     )
-    dataset = PromptDataset(n_prompts=128, prompt_length=4, vocab_size=16, seed=1)
-    with tempfile.TemporaryDirectory() as ckpt_dir:
-        try:
-            system, history, report = train_with_recovery(
-                build,
-                dataset,
-                n_iterations=args.iterations,
-                batch_size=8,
-                checkpoint_dir=ckpt_dir,
-                checkpoint_every=args.ckpt_every,
-                injector=injector,
-                retry_policy=RetryPolicy(seed=args.seed),
-            )
-        except (RuntimeError, ValueError) as exc:  # worker lost, exhausted, bad args
-            print(f"unrecoverable failure: {exc}", file=sys.stderr)
-            return 1
+    try:
+        system, history, report, injector = _tiny_ppo_job(args, fault_plan)
+    except (RuntimeError, ValueError) as exc:  # worker lost, exhausted, bad args
+        print(f"unrecoverable failure: {exc}", file=sys.stderr)
+        return 1
     print("  rewards:", [round(h["score_mean"], 3) for h in history])
     for line in report.summary_lines():
         print(line)
@@ -414,89 +344,67 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_tiny_ppo(args: argparse.Namespace):
-    """The tiny functional PPO job the observability subcommands profile.
-
-    Mirrors ``cmd_faults``'s system (2-layer TinyLM, pools main=2/r=1) with
-    an optional single device kill, so traces and metrics can be inspected
-    both for clean runs and across a fault-and-recovery cycle.
-
-    Returns ``(system, history, report)``.
-    """
-    import tempfile
-
-    from repro.config import GenParallelConfig as GenPC
-    from repro.data import PromptDataset, SyntheticPreferenceTask
-    from repro.faults import FaultInjector, FaultPlan, RetryPolicy
-    from repro.models.tinylm import TinyLMConfig
-    from repro.rlhf.trainers import TrainerConfig
-    from repro.runtime import (
-        ModelAssignment,
-        PlacementPlan,
-        build_rlhf_system,
-        train_with_recovery,
-    )
-
-    cfg = TinyLMConfig(
-        n_layers=2,
-        hidden_size=32,
-        n_heads=4,
-        ffn_hidden_size=48,
-        vocab_size=16,
-        max_seq_len=32,
-    )
-    task = SyntheticPreferenceTask(vocab_size=16, target_token=7)
-    par = ParallelConfig(pp=1, tp=2, dp=1)
-    spec = ClusterSpec(
+def _tiny_cluster(args: argparse.Namespace) -> ClusterSpec:
+    return ClusterSpec(
         n_machines=args.machines, gpus_per_machine=args.gpus_per_machine
     )
 
-    def build(cluster=None):
-        plan = PlacementPlan(
-            pools={"main": 2, "r": 1},
-            assignments={
-                "actor": ModelAssignment("main", par, GenPC.derive(par, 1, 1)),
-                "critic": ModelAssignment("main", par),
-                "reference": ModelAssignment("main", par),
-                "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
-            },
-        )
-        return build_rlhf_system(
-            AlgoType.PPO,
-            plan,
-            cfg,
-            cluster_spec=spec,
-            trainer_config=TrainerConfig(kl_coef=0.01, seed=7),
-            reward_fn=task.reward,
-            max_new_tokens=6,
-            lr=5e-3,
-            seed=7,
-            cluster=cluster,
-        )
 
-    fault_plan = FaultPlan()
+def _fault_plan(args: argparse.Namespace, spec: ClusterSpec):
+    """The ``--kill-machine``/``--kill-device``/``--transients`` flags a
+    subcommand has, as a FaultPlan; ValueError on an out-of-range target."""
+    from repro.faults import FaultPlan
+
+    plan = FaultPlan()
+    machine = getattr(args, "kill_machine", None)
+    if machine is not None:
+        if not 0 <= machine < spec.n_machines:
+            raise ValueError(
+                f"--kill-machine {machine} out of range for "
+                f"{spec.n_machines} machine(s)"
+            )
+        plan.kill_machine(machine, at_step=args.at_step)
     if args.kill_device is not None:
         if not 0 <= args.kill_device < spec.n_gpus:
             raise ValueError(
                 f"--kill-device {args.kill_device} out of range for "
                 f"{spec.n_gpus} GPU(s)"
             )
-        fault_plan.kill_device(args.kill_device, at_step=args.at_step)
-    injector = FaultInjector(fault_plan) if len(fault_plan) else None
+        plan.kill_device(args.kill_device, at_step=args.at_step)
+    if getattr(args, "transients", 0):
+        plan.transient(at_step=args.at_step, count=args.transients)
+    return plan
 
+
+def _tiny_ppo_job(args: argparse.Namespace, fault_plan):
+    """Train the tiny PPO preset with automatic recovery under ``fault_plan``.
+
+    ``faults``, ``trace`` and ``metrics`` run the same job on the same
+    cluster and differ only in the faults they inject.  Returns
+    ``(system, history, report, injector)``.
+    """
+    import functools
+    import tempfile
+
+    from repro.data import PromptDataset
+    from repro.faults import FaultInjector, RetryPolicy
+    from repro.runtime import train_with_recovery
+    from repro.runtime.presets import tiny_ppo
+
+    injector = FaultInjector(fault_plan)
     dataset = PromptDataset(n_prompts=128, prompt_length=4, vocab_size=16, seed=1)
     with tempfile.TemporaryDirectory() as ckpt_dir:
         system, history, report = train_with_recovery(
-            build,
+            functools.partial(tiny_ppo, _tiny_cluster(args)),
             dataset,
             n_iterations=args.iterations,
             batch_size=8,
             checkpoint_dir=ckpt_dir,
             checkpoint_every=args.ckpt_every,
-            injector=injector,
+            injector=injector if len(fault_plan) else None,
             retry_policy=RetryPolicy(seed=args.seed),
         )
-    return system, history, report
+    return system, history, report, injector
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -507,8 +415,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     )
     from repro.runtime.timeline import build_timeline
 
-    try:
-        system, history, report = _run_tiny_ppo(args)
+    try:  # optionally with one device kill, to inspect a recovery cycle
+        plan = _fault_plan(args, _tiny_cluster(args))
+        system, history, report, _ = _tiny_ppo_job(args, plan)
     except (RuntimeError, ValueError) as exc:
         print(f"unrecoverable failure: {exc}", file=sys.stderr)
         return 1
@@ -560,8 +469,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     from repro.observability import collect_system_metrics
 
-    try:
-        system, history, report = _run_tiny_ppo(args)
+    try:  # optionally with one device kill, to inspect a recovery cycle
+        plan = _fault_plan(args, _tiny_cluster(args))
+        system, history, report, _ = _tiny_ppo_job(args, plan)
     except (RuntimeError, ValueError) as exc:
         print(f"unrecoverable failure: {exc}", file=sys.stderr)
         return 1
@@ -611,26 +521,24 @@ def _observability_args(p: argparse.ArgumentParser) -> None:
 def cmd_serve(args: argparse.Namespace) -> int:
     # Functional-path imports stay local so the analytic subcommands keep
     # their fast import time.
+    import dataclasses
+
     import numpy as np
 
-    from repro.models.tinylm import TinyLM, TinyLMConfig
+    from repro.models.tinylm import TinyLM
     from repro.perf.continuous_batching import (
         continuous_schedule_stats,
         sample_response_lengths,
     )
+    from repro.runtime.presets import TINY_LM
     from repro.serving import RolloutServer, ServingConfig, static_batch_steps
 
     if args.priority_levels < 1:
         print("--priority-levels must be >= 1", file=sys.stderr)
         return 2
     rng = np.random.default_rng(args.seed)
-    cfg = TinyLMConfig(
-        n_layers=2,
-        hidden_size=32,
-        n_heads=4,
-        ffn_hidden_size=48,
-        vocab_size=16,
-        max_seq_len=args.prompt_length + args.max_response,
+    cfg = dataclasses.replace(
+        TINY_LM, max_seq_len=args.prompt_length + args.max_response
     )
     model = TinyLM(cfg, seed=args.seed)
     lengths = sample_response_lengths(
@@ -839,23 +747,13 @@ def _example_plan_reports(batch: int):
     enabled (App. C) — the same shape §8's evaluation clusters use.
     """
     from repro.analysis import DataflowChecker
-    from repro.config import GenParallelConfig as GenPC
     from repro.runtime import ModelAssignment, PlacementPlan
+    from repro.runtime.presets import tiny_plan
 
     reports = []
-    tiny_par = ParallelConfig(pp=1, tp=2, dp=1)
-    tiny_plan = PlacementPlan(
-        pools={"main": 2, "r": 1},
-        assignments={
-            "actor": ModelAssignment("main", tiny_par, GenPC.derive(tiny_par, 1, 1)),
-            "critic": ModelAssignment("main", tiny_par),
-            "reference": ModelAssignment("main", tiny_par),
-            "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
-        },
-    )
     checker = DataflowChecker(global_batch_size=batch)
     report = checker.check_plan(
-        AlgoType.PPO, tiny_plan, function_rewards=("reward",)
+        AlgoType.PPO, tiny_plan(AlgoType.PPO), function_rewards=("reward",)
     )
     report.name = "dataflow[tiny-ppo]"
     reports.append(report)
@@ -864,7 +762,9 @@ def _example_plan_reports(batch: int):
     full_plan = PlacementPlan(
         pools={"all": 16},
         assignments={
-            "actor": ModelAssignment("all", full_par, GenPC.derive(full_par, 1, 2)),
+            "actor": ModelAssignment(
+                "all", full_par, GenParallelConfig.derive(full_par, 1, 2)
+            ),
             "critic": ModelAssignment("all", full_par),
             "reference": ModelAssignment("all", full_par),
             "reward": ModelAssignment("all", full_par),
@@ -874,7 +774,7 @@ def _example_plan_reports(batch: int):
         global_batch_size=1024,
         model_specs={
             role: MODEL_SPECS["llama-7b"]
-            for role in ("actor", "critic", "reference", "reward")
+            for role in MODELS_BY_ALGO[AlgoType.PPO]
         },
         workload=RlhfWorkload(),
         cluster_spec=ClusterSpec(n_machines=2),
@@ -1056,8 +956,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     the vector-clock race detector; any RC5xx finding fails the command.
     """
     from repro.data import PromptDataset
-    from repro.perf.bench import _build_disaggregated_ppo, _system_states_equal
-    from repro.pipeline import AsyncPipelineDriver, PipelineConfig
+    from repro.pipeline import (
+        AsyncPipelineDriver,
+        PipelineConfig,
+        staleness_zero_check,
+    )
+    from repro.runtime.presets import disaggregated_ppo
     from repro.runtime.timeline import build_timeline
 
     def dataset() -> PromptDataset:
@@ -1075,16 +979,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         print(f"bad pipeline config: {exc}", file=sys.stderr)
         return 2
 
-    sync_sys = _build_disaggregated_ppo()
-    sync_sys.trainer.train(dataset(), n_iterations=n, batch_size=bs)
-    sync_makespan = build_timeline(sync_sys.controller).makespan
-
     # structural guarantee first: an empty window IS the synchronous loop
-    exact_sys = _build_disaggregated_ppo()
-    AsyncPipelineDriver(
-        exact_sys.trainer, PipelineConfig(staleness_window=0)
-    ).train(dataset(), n_iterations=n, batch_size=bs)
-    if not _system_states_equal(sync_sys, exact_sys):
+    sync_sys, bit_exact = staleness_zero_check(
+        disaggregated_ppo, dataset, n, bs
+    )
+    sync_makespan = build_timeline(sync_sys.controller).makespan
+    if not bit_exact:
         print(
             "staleness=0 self-check FAILED: async driver diverged from the "
             "synchronous trainer",
@@ -1096,7 +996,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         f"over {n} iterations"
     )
 
-    async_sys = _build_disaggregated_ppo()
+    async_sys = disaggregated_ppo()
     driver = AsyncPipelineDriver(async_sys.trainer, pipeline_config)
     driver.train(dataset(), n_iterations=n, batch_size=bs)
     timeline = build_timeline(async_sys.controller)

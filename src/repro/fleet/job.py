@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
+from repro.config import ClusterSpec
 from repro.data.dataset import PromptDataset
 from repro.mapping.elastic import candidate_dps as _candidate_dps
 from repro.models.tinylm import TinyLMConfig
@@ -20,7 +20,8 @@ from repro.rlhf.core import AlgoType
 from repro.data.dataset import SyntheticPreferenceTask
 from repro.rlhf.trainers import TrainerConfig
 from repro.runtime.builder import RlhfSystem, build_rlhf_system
-from repro.runtime.placement import ModelAssignment, PlacementPlan
+from repro.runtime.placement import PlacementPlan
+from repro.runtime.presets import TINY_LM, tiny_plan
 
 #: Algorithms whose model set (actor/critic/reference + function reward) the
 #: default job shape can build; SAFE_RLHF needs a cost model pool.
@@ -46,8 +47,8 @@ class JobSpec:
         arrival_tick: Fleet tick at which the job becomes schedulable.
         seed: Seed for model init, worker RNG streams, and the trainer.
         algo: RLHF algorithm variant (see :data:`SUPPORTED_ALGOS`).
-        model_config: Model architecture; defaults to the tiny functional
-            LM every integration test uses.
+        model_config: Model architecture; defaults to
+            :data:`~repro.runtime.presets.TINY_LM`.
     """
 
     name: str
@@ -91,14 +92,7 @@ class JobSpec:
                 f"got {self.algo.value}"
             )
         if self.model_config is None:
-            self.model_config = TinyLMConfig(
-                n_layers=2,
-                hidden_size=32,
-                n_heads=4,
-                ffn_hidden_size=48,
-                vocab_size=16,
-                max_seq_len=32,
-            )
+            self.model_config = TINY_LM
         if not self.candidate_dps():
             raise ValueError(
                 f"job {self.name!r} has no admissible DP width: none of "
@@ -126,22 +120,7 @@ class JobSpec:
 
     def plan_at(self, dp: int) -> PlacementPlan:
         """Colocated placement of the job's models at DP width ``dp``."""
-        par = ParallelConfig(pp=1, tp=self.tp, dp=dp)
-        roles = {"actor", "critic", "reference"}
-        if self.algo in (AlgoType.REMAX, AlgoType.GRPO):
-            roles = {"actor", "reference"}
-        assignments = {
-            role: ModelAssignment(
-                "main",
-                par,
-                GenParallelConfig.derive(par, 1, 1) if role == "actor" else None,
-            )
-            for role in roles
-        }
-        assignments["reward"] = ModelAssignment("r", ParallelConfig(1, 1, 1))
-        return PlacementPlan(
-            pools={"main": self.tp * dp, "r": 1}, assignments=assignments
-        )
+        return tiny_plan(self.algo, tp=self.tp, dp=dp)
 
     def dataset(self) -> PromptDataset:
         """A fresh, deterministic prompt stream (same bytes every call)."""

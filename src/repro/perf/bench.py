@@ -226,56 +226,11 @@ def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     return pins, metrics
 
 
-def _build_tiny_ppo():
-    """The tiny 4-model PPO system every functional subcommand pins."""
-    from repro.config import (
-        ClusterSpec,
-        GenParallelConfig,
-        ParallelConfig,
-    )
-    from repro.data import SyntheticPreferenceTask
-    from repro.models.tinylm import TinyLMConfig
-    from repro.rlhf.core import AlgoType
-    from repro.rlhf.trainers import TrainerConfig
-    from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
-
-    cfg = TinyLMConfig(
-        n_layers=2,
-        hidden_size=32,
-        n_heads=4,
-        ffn_hidden_size=48,
-        vocab_size=16,
-        max_seq_len=32,
-    )
-    par = ParallelConfig(pp=1, tp=2, dp=1)
-    plan = PlacementPlan(
-        pools={"main": 2, "r": 1},
-        assignments={
-            "actor": ModelAssignment(
-                "main", par, GenParallelConfig.derive(par, 1, 1)
-            ),
-            "critic": ModelAssignment("main", par),
-            "reference": ModelAssignment("main", par),
-            "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
-        },
-    )
-    task = SyntheticPreferenceTask(vocab_size=16, target_token=7)
-    return build_rlhf_system(
-        AlgoType.PPO,
-        plan,
-        cfg,
-        cluster_spec=ClusterSpec(n_machines=1, gpus_per_machine=4),
-        trainer_config=TrainerConfig(kl_coef=0.01, seed=7),
-        reward_fn=task.reward,
-        max_new_tokens=6,
-        lr=5e-3,
-        seed=7,
-    )
-
-
 def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """One full PPO iteration through the single-controller dispatch path."""
+    from repro.config import ClusterSpec
     from repro.data import PromptDataset
+    from repro.runtime.presets import tiny_ppo
 
     pins = {
         "algo": "ppo",
@@ -285,7 +240,7 @@ def bench_ppo_iteration() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         "prompt_length": 4,
         "seed": 7,
     }
-    system = _build_tiny_ppo()
+    system = tiny_ppo(ClusterSpec(n_machines=1, gpus_per_machine=4))
     dataset = PromptDataset(
         n_prompts=32, prompt_length=pins["prompt_length"], vocab_size=16, seed=1
     )
@@ -385,75 +340,6 @@ def bench_train_gen_transition() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     return pins, metrics
 
 
-def _build_disaggregated_ppo():
-    """PPO with the actor alone on its pool — the async-overlap placement.
-
-    Rollout and training both run on the actor's devices, so overlap gains
-    come from the *other* pools: with critic/reference/reward colocated on
-    one scorer pool, the synchronous loop leaves the actor idle while the
-    scoring chain runs; the one-step-off schedule fills that idle with the
-    next iteration's generation.
-    """
-    from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
-    from repro.models.tinylm import TinyLMConfig
-    from repro.rlhf.core import AlgoType
-    from repro.rlhf.trainers import TrainerConfig
-    from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
-
-    cfg = TinyLMConfig(
-        n_layers=2,
-        hidden_size=32,
-        n_heads=4,
-        ffn_hidden_size=48,
-        vocab_size=16,
-        max_seq_len=32,
-    )
-    actor_par = ParallelConfig(pp=1, tp=2, dp=1)
-    scorer_par = ParallelConfig(pp=1, tp=1, dp=1)
-    plan = PlacementPlan(
-        pools={"actor": 2, "scorer": 1},
-        assignments={
-            "actor": ModelAssignment(
-                "actor", actor_par, GenParallelConfig.derive(actor_par, 1, 1)
-            ),
-            "critic": ModelAssignment("scorer", scorer_par),
-            "reference": ModelAssignment("scorer", scorer_par),
-            "reward": ModelAssignment("scorer", scorer_par),
-        },
-    )
-    return build_rlhf_system(
-        AlgoType.PPO,
-        plan,
-        cfg,
-        cluster_spec=ClusterSpec(n_machines=1, gpus_per_machine=4),
-        trainer_config=TrainerConfig(kl_coef=0.01, seed=7),
-        max_new_tokens=6,
-        lr=5e-3,
-        seed=7,
-    )
-
-
-def _system_states_equal(sys_a, sys_b) -> bool:
-    """Bit-equality of every worker's checkpointable state across systems."""
-    for name in sys_a.groups:
-        workers_a = sys_a.groups[name].workers
-        workers_b = sys_b.groups[name].workers
-        if len(workers_a) != len(workers_b):
-            return False
-        for wa, wb in zip(workers_a, workers_b):
-            sa, sb = wa.state_for_checkpoint(), wb.state_for_checkpoint()
-            if set(sa) != set(sb):
-                return False
-            for key in sa:
-                va, vb = sa[key], sb[key]
-                if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
-                    if not np.array_equal(np.asarray(va), np.asarray(vb)):
-                        return False
-                elif va != vb:
-                    return False
-    return True
-
-
 def bench_async_ppo_overlap() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """One-step-off async pipeline vs the synchronous loop, same workload.
 
@@ -465,7 +351,12 @@ def bench_async_ppo_overlap() -> Tuple[Dict[str, Any], Dict[str, Any]]:
     the floor pins the bubble collapse so it can never silently regress.
     """
     from repro.data import PromptDataset
-    from repro.pipeline import AsyncPipelineDriver, PipelineConfig
+    from repro.pipeline import (
+        AsyncPipelineDriver,
+        PipelineConfig,
+        staleness_zero_check,
+    )
+    from repro.runtime.presets import disaggregated_ppo
     from repro.runtime.timeline import build_timeline
 
     pins = {
@@ -487,25 +378,12 @@ def bench_async_ppo_overlap() -> Tuple[Dict[str, Any], Dict[str, Any]]:
             seed=1,
         )
 
-    sync_sys = _build_disaggregated_ppo()
-    sync_sys.trainer.train(
-        dataset(),
-        n_iterations=pins["n_iterations"],
-        batch_size=pins["batch_size"],
+    sync_sys, staleness0_bit_exact = staleness_zero_check(
+        disaggregated_ppo, dataset, pins["n_iterations"], pins["batch_size"]
     )
     sync_makespan = build_timeline(sync_sys.controller).makespan
 
-    exact_sys = _build_disaggregated_ppo()
-    AsyncPipelineDriver(
-        exact_sys.trainer, PipelineConfig(staleness_window=0)
-    ).train(
-        dataset(),
-        n_iterations=pins["n_iterations"],
-        batch_size=pins["batch_size"],
-    )
-    staleness0_bit_exact = _system_states_equal(sync_sys, exact_sys)
-
-    async_sys = _build_disaggregated_ppo()
+    async_sys = disaggregated_ppo()
     driver = AsyncPipelineDriver(
         async_sys.trainer,
         PipelineConfig(staleness_window=pins["staleness_window"]),

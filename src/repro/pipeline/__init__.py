@@ -10,11 +10,12 @@ trace audit, RC5xx race detection) still passes on the overlapped schedule.
 * :class:`ExperienceBuffer` — bounded in-flight experience, version-tagged.
 * :class:`AsyncPipelineDriver` — the loop; ``staleness_window=0`` is
   bit-exact with the synchronous trainers.
+* :func:`staleness_zero_check` — runs that guarantee as a self-check.
 """
 
 from repro.pipeline.buffer import BufferFull, Experience, ExperienceBuffer
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.driver import AsyncPipelineDriver
+from repro.pipeline.driver import AsyncPipelineDriver, staleness_zero_check
 
 __all__ = [
     "AsyncPipelineDriver",
@@ -22,4 +23,5 @@ __all__ = [
     "Experience",
     "ExperienceBuffer",
     "PipelineConfig",
+    "staleness_zero_check",
 ]

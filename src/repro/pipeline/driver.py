@@ -37,7 +37,7 @@ it instead of idling — the Figure-3-style bubble collapses.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.data.batch import DataBatch
 from repro.data.dataset import PromptDataset
@@ -47,6 +47,7 @@ from repro.pipeline.config import PipelineConfig
 from repro.rlhf.core import AlgoType, compute_advantages
 from repro.rlhf.losses import truncated_importance_weights
 from repro.rlhf.trainers import RlhfTrainerBase
+from repro.runtime.presets import states_equal
 from repro.single_controller.access_log import READ, WRITE
 
 
@@ -384,4 +385,28 @@ class AsyncPipelineDriver:
         return manifest
 
 
-__all__ = ["AsyncPipelineDriver"]
+def staleness_zero_check(
+    build: Callable[[], Any],
+    dataset: Callable[[], PromptDataset],
+    n_iterations: int,
+    batch_size: int,
+) -> Tuple[Any, bool]:
+    """The W=0 guarantee, checked: an empty window *is* the synchronous loop.
+
+    Trains one fresh ``build()`` system with its synchronous trainer and one
+    with a zero-window :class:`AsyncPipelineDriver`, each on a fresh
+    ``dataset()``.  Returns ``(sync_system, bit_exact)``; the sync system is
+    the overlap baseline.
+    """
+    sync_sys = build()
+    sync_sys.trainer.train(
+        dataset(), n_iterations=n_iterations, batch_size=batch_size
+    )
+    exact_sys = build()
+    AsyncPipelineDriver(
+        exact_sys.trainer, PipelineConfig(staleness_window=0)
+    ).train(dataset(), n_iterations=n_iterations, batch_size=batch_size)
+    return sync_sys, states_equal(sync_sys, exact_sys)
+
+
+__all__ = ["AsyncPipelineDriver", "staleness_zero_check"]

@@ -30,6 +30,15 @@ class AlgoType(str, enum.Enum):
     GRPO = "grpo"
 
 
+#: Model roles each algorithm's dataflow contains (Figure 1), in build order.
+MODELS_BY_ALGO = {
+    AlgoType.PPO: ("actor", "critic", "reference", "reward"),
+    AlgoType.REMAX: ("actor", "reference", "reward"),
+    AlgoType.SAFE_RLHF: ("actor", "critic", "reference", "reward", "cost"),
+    AlgoType.GRPO: ("actor", "reference", "reward"),
+}
+
+
 def compute_advantages(
     batch: DataBatch,
     algo: AlgoType = AlgoType.PPO,

@@ -17,7 +17,7 @@ import numpy as np
 from repro.config import ClusterSpec
 from repro.models.tinylm import TinyLMConfig
 from repro.parallel.topology import GenGroupingMode
-from repro.rlhf.core import AlgoType
+from repro.rlhf.core import MODELS_BY_ALGO, AlgoType
 from repro.rlhf.trainers import (
     GRPOTrainer,
     PPOTrainer,
@@ -44,13 +44,6 @@ _TRAINERS = {
     AlgoType.GRPO: GRPOTrainer,
 }
 
-_MODELS_BY_ALGO = {
-    AlgoType.PPO: ("actor", "critic", "reference", "reward"),
-    AlgoType.REMAX: ("actor", "reference", "reward"),
-    AlgoType.SAFE_RLHF: ("actor", "critic", "reference", "reward", "cost"),
-    AlgoType.GRPO: ("actor", "reference", "reward"),
-}
-
 _WORKER_CLASSES = {
     "actor": ActorWorker,
     "critic": CriticWorker,
@@ -75,7 +68,7 @@ class RlhfSystem:
 
 def required_models(algo: AlgoType) -> tuple:
     """Model roles an algorithm's dataflow contains (Figure 1)."""
-    return _MODELS_BY_ALGO[AlgoType(algo)]
+    return MODELS_BY_ALGO[AlgoType(algo)]
 
 
 def build_rlhf_system(

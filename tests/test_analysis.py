@@ -723,6 +723,47 @@ class TestRepoLint:
         )
         assert report.findings == []
 
+    SET_BOUND_NAME = (
+        "def plan():\n"
+        "    roles = {'a', 'b'}\n"
+        "    for r in roles:\n"
+        "        pass\n"
+        "    return {r: 1 for r in roles}\n"
+    )
+
+    def test_set_bound_name_iteration_is_rl307(self):
+        report = lint(self.SET_BOUND_NAME, filename=self.SCOPED)
+        assert [f.rule for f in report.findings] == ["RL307", "RL307"]
+        assert [f.location for f in report.findings] == [
+            f"{self.SCOPED}:3",  # the for loop
+            f"{self.SCOPED}:5",  # the comprehension
+        ]
+        assert "'roles'" in report.findings[0].message
+
+    def test_sorted_set_bound_name_is_clean(self):
+        source = self.SET_BOUND_NAME.replace("in roles", "in sorted(roles)")
+        assert lint(source, filename=self.SCOPED).findings == []
+
+    def test_name_with_a_non_set_binding_is_clean(self):
+        for source in (
+            "def f(xs):\n    roles = set(xs)\n    roles = sorted(roles)\n",
+            "def f(roles):\n    roles = {1}\n",
+            "def f(xs):\n    roles = set()\n    for roles in xs:\n        pass\n",
+        ):
+            source += "    for r in roles:\n        pass\n"
+            assert lint(source, filename=self.SCOPED).findings == [], source
+
+    def test_set_bound_name_follows_closures(self):
+        report = lint(
+            "def f():\n"
+            "    roles = frozenset((1, 2))\n"
+            "    def g():\n"
+            "        return [r for r in roles]\n"
+            "    return g\n",
+            filename=self.SCOPED,
+        )
+        assert [f.location for f in report.findings] == [f"{self.SCOPED}:4"]
+
     def test_values_call_with_arguments_is_not_a_dict_view(self):
         report = lint(
             "class Q:\n"

@@ -13,13 +13,13 @@ import pytest
 from repro.analysis import DataflowChecker, RaceDetector, TraceAuditor
 from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
 from repro.data import PromptDataset
-from repro.models.tinylm import TinyLMConfig
 from repro.perf.async_pipeline import async_schedule, overlap_speedup
 from repro.pipeline import (
     AsyncPipelineDriver,
     BufferFull,
     ExperienceBuffer,
     PipelineConfig,
+    staleness_zero_check,
 )
 from repro.rlhf.core import AlgoType
 from repro.rlhf.losses import (
@@ -28,20 +28,18 @@ from repro.rlhf.losses import (
 )
 from repro.rlhf.trainers import TrainerConfig
 from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
+from repro.runtime.presets import TINY_LM, disaggregated_ppo, states_equal
 from repro.runtime.timeline import build_timeline
-
-CFG = TinyLMConfig(
-    n_layers=2,
-    hidden_size=32,
-    n_heads=4,
-    ffn_hidden_size=48,
-    vocab_size=16,
-    max_seq_len=32,
-)
 
 
 def build_system(algo=AlgoType.PPO, **trainer_kwargs):
-    """Disaggregated placement: actor alone, scorers on a shared pool."""
+    """Disaggregated placement: actor alone, scorers on a shared pool.
+
+    The PPO default is :func:`~repro.runtime.presets.disaggregated_ppo`;
+    GRPO drops the critic and trainer settings can be overridden.
+    """
+    if algo is AlgoType.PPO and not trainer_kwargs:
+        return disaggregated_ppo()
     actor_par = ParallelConfig(pp=1, tp=2, dp=1)
     scorer_par = ParallelConfig(pp=1, tp=1, dp=1)
     assignments = {
@@ -59,7 +57,7 @@ def build_system(algo=AlgoType.PPO, **trainer_kwargs):
     return build_rlhf_system(
         algo,
         plan,
-        CFG,
+        TINY_LM,
         cluster_spec=ClusterSpec(n_machines=1, gpus_per_machine=4),
         trainer_config=TrainerConfig(kl_coef=0.01, seed=7, **trainer_kwargs),
         max_new_tokens=6,
@@ -70,24 +68,6 @@ def build_system(algo=AlgoType.PPO, **trainer_kwargs):
 
 def dataset():
     return PromptDataset(n_prompts=64, prompt_length=4, vocab_size=16, seed=1)
-
-
-def states_equal(sys_a, sys_b) -> bool:
-    for name in sys_a.groups:
-        for wa, wb in zip(
-            sys_a.groups[name].workers, sys_b.groups[name].workers
-        ):
-            sa, sb = wa.state_for_checkpoint(), wb.state_for_checkpoint()
-            if set(sa) != set(sb):
-                return False
-            for key in sa:
-                va, vb = sa[key], sb[key]
-                if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
-                    if not np.array_equal(np.asarray(va), np.asarray(vb)):
-                        return False
-                elif va != vb:
-                    return False
-    return True
 
 
 def histories_equal(ha, hb) -> bool:
@@ -131,6 +111,19 @@ class TestStalenessZeroBitExact:
 
         assert states_equal(sync, system)
         assert histories_equal(sync.trainer.history, history)
+
+    def test_self_check_returns_trained_sync_system_and_verdict(self):
+        sync, bit_exact = staleness_zero_check(build_system, dataset, 2, 4)
+        assert bit_exact
+        assert len(sync.trainer.history) == 2
+
+    def test_self_check_reports_divergence(self):
+        # the second build trains differently, so W=0 cannot match it
+        builds = iter([build_system, lambda: build_system(ppo_epochs=2)])
+        _, bit_exact = staleness_zero_check(
+            lambda: next(builds)(), dataset, 2, 4
+        )
+        assert not bit_exact
 
 
 class TestStalenessBounds:

@@ -20,6 +20,22 @@ class TestParser:
         assert args.model == args2.model == "llama-7b"
         assert args.machines == 2
 
+    def test_module_docstring_lists_every_subcommand(self):
+        import argparse
+
+        import repro.cli
+
+        (sub,) = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        listed = [
+            line.split("``")[1]
+            for line in repro.cli.__doc__.splitlines()
+            if line.startswith("* ``")
+        ]
+        assert listed == list(sub.choices)
+
 
 class TestCommands:
     def test_throughput(self, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import SimCluster
-from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
+from repro.config import ClusterSpec
 from repro.data import PromptDataset, SyntheticPreferenceTask
 from repro.faults import (
     ClusterFaultDriver,
@@ -20,7 +20,6 @@ from repro.faults import (
     TransientRpcError,
     WorkerLostError,
 )
-from repro.models.tinylm import TinyLMConfig
 from repro.perf import (
     expected_goodput,
     goodput_vs_interval,
@@ -29,12 +28,8 @@ from repro.perf import (
 )
 from repro.rlhf import AlgoType
 from repro.rlhf.trainers import TrainerConfig
-from repro.runtime import (
-    ModelAssignment,
-    PlacementPlan,
-    build_rlhf_system,
-    train_with_recovery,
-)
+from repro.runtime import build_rlhf_system, train_with_recovery
+from repro.runtime.presets import TINY_LM, states_equal, tiny_plan, tiny_ppo
 from repro.single_controller import (
     CheckpointError,
     SingleController,
@@ -320,43 +315,12 @@ class TestCheckpointRobustness:
 
 # -- end-to-end: machine loss mid-PPO, automatic bit-exact recovery -------------
 
-CFG = TinyLMConfig(
-    n_layers=2,
-    hidden_size=32,
-    n_heads=4,
-    ffn_hidden_size=48,
-    vocab_size=16,
-    max_seq_len=32,
-)
 TASK = SyntheticPreferenceTask(vocab_size=16, target_token=7)
-PAR = ParallelConfig(pp=1, tp=2, dp=1)
 SPEC = ClusterSpec(n_machines=2, gpus_per_machine=4)  # spare for re-placement
 
 
 def build_ppo(cluster=None):
-    plan = PlacementPlan(
-        pools={"main": 2, "r": 1},
-        assignments={
-            "actor": ModelAssignment(
-                "main", PAR, GenParallelConfig.derive(PAR, 1, 1)
-            ),
-            "critic": ModelAssignment("main", PAR),
-            "reference": ModelAssignment("main", PAR),
-            "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
-        },
-    )
-    return build_rlhf_system(
-        AlgoType.PPO,
-        plan,
-        CFG,
-        cluster_spec=SPEC,
-        trainer_config=TrainerConfig(kl_coef=0.01, seed=7),
-        reward_fn=TASK.reward,
-        max_new_tokens=6,
-        lr=5e-3,
-        seed=7,
-        cluster=cluster,
-    )
+    return tiny_ppo(SPEC, cluster)
 
 
 def _dataset():
@@ -412,6 +376,8 @@ class TestAutomaticRecovery:
         got_state = system.groups["actor"].workers[0].materialize_full_state()
         for name in ref_state:
             np.testing.assert_array_equal(ref_state[name], got_state[name])
+        # every worker's checkpointable state: weights, optimizer, RNG
+        assert states_equal(ref_system, system)
 
     def test_replaced_onto_surviving_machine(self, reference, tmp_path):
         _, _, seqs = reference
@@ -453,29 +419,7 @@ class TestAutomaticRecovery:
         spec = ClusterSpec(n_machines=1, gpus_per_machine=4)
 
         def build(cluster=None):
-            plan = PlacementPlan(
-                pools={"main": 2, "r": 1},
-                assignments={
-                    "actor": ModelAssignment(
-                        "main", PAR, GenParallelConfig.derive(PAR, 1, 1)
-                    ),
-                    "critic": ModelAssignment("main", PAR),
-                    "reference": ModelAssignment("main", PAR),
-                    "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
-                },
-            )
-            return build_rlhf_system(
-                AlgoType.PPO,
-                plan,
-                CFG,
-                cluster_spec=spec,
-                trainer_config=TrainerConfig(kl_coef=0.01, seed=7),
-                reward_fn=TASK.reward,
-                max_new_tokens=6,
-                lr=5e-3,
-                seed=7,
-                cluster=cluster,
-            )
+            return tiny_ppo(spec, cluster)
 
         injector = FaultInjector(FaultPlan().kill_machine(0, at_step=2))
         with pytest.raises(RuntimeError, match="exhausted"):
@@ -722,22 +666,10 @@ class TestTornSave:
 
 
 def build_ppo_at(dp, tp=2):
-    par = ParallelConfig(pp=1, tp=tp, dp=dp)
-    plan = PlacementPlan(
-        pools={"main": tp * dp, "r": 1},
-        assignments={
-            "actor": ModelAssignment(
-                "main", par, GenParallelConfig.derive(par, 1, 1)
-            ),
-            "critic": ModelAssignment("main", par),
-            "reference": ModelAssignment("main", par),
-            "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
-        },
-    )
     return build_rlhf_system(
         AlgoType.PPO,
-        plan,
-        CFG,
+        tiny_plan(AlgoType.PPO, tp=tp, dp=dp),
+        TINY_LM,
         cluster_spec=SPEC,
         trainer_config=TrainerConfig(kl_coef=0.01, seed=7),
         reward_fn=TASK.reward,

@@ -8,15 +8,10 @@ import numpy as np
 import pytest
 
 import repro.runtime.timeline as timeline_mod
-from repro.config import (
-    ClusterSpec,
-    GenParallelConfig,
-    ParallelConfig,
-)
-from repro.data import PromptDataset, SyntheticPreferenceTask
+from repro.config import ClusterSpec
+from repro.data import PromptDataset
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.policy import SimClock
-from repro.models.tinylm import TinyLMConfig
 from repro.observability import (
     MetricsRegistry,
     SpanTracer,
@@ -25,16 +20,12 @@ from repro.observability import (
     pool_fractions_from_trace,
     render_chrome_trace,
 )
-from repro.rlhf.core import AlgoType
-from repro.rlhf.trainers import TrainerConfig
 from repro.runtime import (
-    ModelAssignment,
-    PlacementPlan,
-    build_rlhf_system,
     build_timeline,
     system_report_dict,
     train_with_recovery,
 )
+from repro.runtime.presets import tiny_ppo
 from repro.runtime.report import metrics_summary, observability_summary
 from repro.runtime.timeline import Timeline, TimelineEvent
 
@@ -419,43 +410,11 @@ def regen_golden() -> None:
 
 # -- integration: a faulted-and-recovered functional run ----------------------------
 
-CFG = TinyLMConfig(
-    n_layers=2,
-    hidden_size=32,
-    n_heads=4,
-    ffn_hidden_size=48,
-    vocab_size=16,
-    max_seq_len=32,
-)
-TASK = SyntheticPreferenceTask(vocab_size=16, target_token=7)
-PAR = ParallelConfig(pp=1, tp=2, dp=1)
 SPEC = ClusterSpec(n_machines=2, gpus_per_machine=4)
 
 
 def build_ppo(cluster=None):
-    plan = PlacementPlan(
-        pools={"main": 2, "r": 1},
-        assignments={
-            "actor": ModelAssignment(
-                "main", PAR, GenParallelConfig.derive(PAR, 1, 1)
-            ),
-            "critic": ModelAssignment("main", PAR),
-            "reference": ModelAssignment("main", PAR),
-            "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
-        },
-    )
-    return build_rlhf_system(
-        AlgoType.PPO,
-        plan,
-        CFG,
-        cluster_spec=SPEC,
-        trainer_config=TrainerConfig(kl_coef=0.01, seed=7),
-        reward_fn=TASK.reward,
-        max_new_tokens=6,
-        lr=5e-3,
-        seed=7,
-        cluster=cluster,
-    )
+    return tiny_ppo(SPEC, cluster)
 
 
 @pytest.fixture(scope="module")

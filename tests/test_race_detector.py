@@ -11,12 +11,12 @@ import pathlib
 import pytest
 
 from repro.analysis import RaceDetector
-from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
+from repro.config import ClusterSpec
 from repro.data import PromptDataset, SyntheticPreferenceTask
-from repro.models.tinylm import TinyLMConfig
 from repro.rlhf.core import AlgoType
 from repro.rlhf.trainers import TrainerConfig
-from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
+from repro.runtime import build_rlhf_system
+from repro.runtime.presets import TINY_LM, tiny_plan
 from repro.single_controller import (
     SingleController,
     Worker,
@@ -45,29 +45,11 @@ class _Record:
 
 
 def _tiny_system():
-    cfg = TinyLMConfig(
-        n_layers=2,
-        hidden_size=32,
-        n_heads=4,
-        ffn_hidden_size=48,
-        vocab_size=16,
-        max_seq_len=32,
-    )
     task = SyntheticPreferenceTask(vocab_size=16, target_token=7)
-    par = ParallelConfig(pp=1, tp=2, dp=1)
-    plan = PlacementPlan(
-        pools={"main": 2, "r": 1},
-        assignments={
-            "actor": ModelAssignment("main", par, GenParallelConfig.derive(par, 1, 1)),
-            "critic": ModelAssignment("main", par),
-            "reference": ModelAssignment("main", par),
-            "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
-        },
-    )
     return build_rlhf_system(
         AlgoType.PPO,
-        plan,
-        cfg,
+        tiny_plan(AlgoType.PPO),
+        TINY_LM,
         trainer_config=TrainerConfig(kl_coef=0.01, seed=7),
         reward_fn=task.reward,
         max_new_tokens=5,

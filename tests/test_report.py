@@ -4,9 +4,9 @@ import pytest
 
 from repro.config import GenParallelConfig, ParallelConfig
 from repro.data.dataset import PromptDataset, SyntheticPreferenceTask
-from repro.models.tinylm import TinyLMConfig
 from repro.rlhf.core import AlgoType
 from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
+from repro.runtime.presets import TINY_LM, tiny_plan
 from repro.runtime.report import (
     dataflow_summary,
     memory_summary,
@@ -16,31 +16,17 @@ from repro.runtime.report import (
     traffic_summary,
 )
 
-CFG = TinyLMConfig(
-    n_layers=2,
-    hidden_size=32,
-    n_heads=4,
-    ffn_hidden_size=48,
-    vocab_size=16,
-    max_seq_len=32,
-)
 
 
 @pytest.fixture(scope="module")
 def trained_system():
-    par = ParallelConfig(1, 2, 1)
-    plan = PlacementPlan(
-        pools={"main": 2, "r": 1},
-        assignments={
-            "actor": ModelAssignment("main", par, GenParallelConfig.derive(par, 1, 1)),
-            "critic": ModelAssignment("main", par),
-            "reference": ModelAssignment("main", par),
-            "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
-        },
-    )
     task = SyntheticPreferenceTask(vocab_size=16)
     system = build_rlhf_system(
-        AlgoType.PPO, plan, CFG, reward_fn=task.reward, max_new_tokens=5
+        AlgoType.PPO,
+        tiny_plan(AlgoType.PPO),
+        TINY_LM,
+        reward_fn=task.reward,
+        max_new_tokens=5,
     )
     system.trainer.train(PromptDataset(32, 4, 16, seed=1), 2, 8)
     return system
@@ -97,7 +83,7 @@ class TestFullReport:
         )
         task = SyntheticPreferenceTask(vocab_size=16)
         system = build_rlhf_system(
-            AlgoType.PPO, plan, CFG, reward_fn=task.reward
+            AlgoType.PPO, plan, TINY_LM, reward_fn=task.reward
         )
         text = system_report(system)
         assert "no training iterations" in text

@@ -4,20 +4,12 @@ import pytest
 
 from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
 from repro.data.dataset import SyntheticPreferenceTask
-from repro.models.tinylm import TinyLMConfig
 from repro.parallel.topology import GenGroupingMode
 from repro.rlhf.core import AlgoType
 from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
+from repro.runtime.presets import TINY_LM, tiny_plan
 from repro.runtime.builder import required_models
 
-CFG = TinyLMConfig(
-    n_layers=2,
-    hidden_size=32,
-    n_heads=4,
-    ffn_hidden_size=48,
-    vocab_size=16,
-    max_seq_len=32,
-)
 PAR = ParallelConfig(pp=1, tp=2, dp=1)
 GEN = GenParallelConfig.derive(PAR, 1, 1)
 PPO_MODELS = ["actor", "critic", "reference", "reward"]
@@ -79,7 +71,7 @@ class TestBuilder:
         assert "cost" in required_models(AlgoType.SAFE_RLHF)
 
     def test_builds_groups_and_trainer(self):
-        system = build_rlhf_system(AlgoType.PPO, self.plan(), CFG)
+        system = build_rlhf_system(AlgoType.PPO, self.plan(), TINY_LM)
         assert set(system.groups) == set(PPO_MODELS)
         assert system.group("actor").gen_topology is not None
         assert system.trainer.actor is system.groups["actor"]
@@ -90,7 +82,7 @@ class TestBuilder:
             assignments={"actor": ModelAssignment("a", PAR, GEN)},
         )
         with pytest.raises(ValueError, match="lacks assignments"):
-            build_rlhf_system(AlgoType.PPO, plan, CFG)
+            build_rlhf_system(AlgoType.PPO, plan, TINY_LM)
 
     def test_actor_needs_gen_parallel(self):
         plan = PlacementPlan(
@@ -100,37 +92,30 @@ class TestBuilder:
             },
         )
         with pytest.raises(ValueError, match="gen_parallel"):
-            build_rlhf_system(AlgoType.PPO, plan, CFG)
+            build_rlhf_system(AlgoType.PPO, plan, TINY_LM)
 
     def test_vanilla_gen_mode_supported(self):
         system = build_rlhf_system(
-            AlgoType.PPO, self.plan(), CFG, gen_mode=GenGroupingMode.VANILLA
+            AlgoType.PPO, self.plan(), TINY_LM, gen_mode=GenGroupingMode.VANILLA
         )
         assert system.group("actor").gen_topology.mode is GenGroupingMode.VANILLA
 
     def test_reward_function_replaces_model(self):
         task = SyntheticPreferenceTask(vocab_size=16)
-        plan = PlacementPlan(
-            pools={"main": 2, "r": 1},
-            assignments={
-                "actor": ModelAssignment("main", PAR, GEN),
-                "critic": ModelAssignment("main", PAR),
-                "reference": ModelAssignment("main", PAR),
-                "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
-            },
+        system = build_rlhf_system(
+            AlgoType.PPO, tiny_plan(AlgoType.PPO), TINY_LM, reward_fn=task.reward
         )
-        system = build_rlhf_system(AlgoType.PPO, plan, CFG, reward_fn=task.reward)
         from repro.workers import RewardFunctionWorker
 
         assert isinstance(system.groups["reward"].workers[0], RewardFunctionWorker)
 
     def test_custom_cluster_spec(self):
         spec = ClusterSpec(n_machines=1, gpus_per_machine=4)
-        system = build_rlhf_system(AlgoType.PPO, self.plan(), CFG, cluster_spec=spec)
+        system = build_rlhf_system(AlgoType.PPO, self.plan(), TINY_LM, cluster_spec=spec)
         assert system.controller.cluster.n_gpus == 4
 
     def test_colocated_groups_share_devices(self):
-        system = build_rlhf_system(AlgoType.PPO, self.plan(), CFG)
+        system = build_rlhf_system(AlgoType.PPO, self.plan(), TINY_LM)
         actor_pool = system.group("actor").resource_pool
         critic_pool = system.group("critic").resource_pool
         assert actor_pool is critic_pool

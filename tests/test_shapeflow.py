@@ -24,39 +24,14 @@ from repro.analysis import (
 from repro.config import GenParallelConfig, ParallelConfig
 from repro.data.batch import DataBatch
 from repro.data.dataset import PromptDataset
-from repro.models.tinylm import TinyLMConfig
 from repro.rlhf.core import AlgoType
 from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
+from repro.runtime.presets import TINY_LM, tiny_plan
 from repro.single_controller.decorator import (
     registered_shape_contract,
     shape_contract,
 )
 from repro.single_controller.protocols import TRANSFER_PROTOCOLS, get_protocol
-
-LM_CFG = TinyLMConfig(
-    n_layers=2,
-    hidden_size=32,
-    n_heads=4,
-    ffn_hidden_size=48,
-    vocab_size=16,
-    max_seq_len=32,
-)
-
-
-def tiny_plan():
-    par = ParallelConfig(pp=1, tp=2, dp=1)
-    return PlacementPlan(
-        pools={"main": 2, "r": 1},
-        assignments={
-            "actor": ModelAssignment(
-                "main", par, GenParallelConfig.derive(par, 1, 1)
-            ),
-            "critic": ModelAssignment("main", par),
-            "reference": ModelAssignment("main", par),
-            "reward": ModelAssignment("r", ParallelConfig(1, 1, 1)),
-        },
-    )
-
 
 def build_tiny_system(**kwargs):
     par = ParallelConfig(pp=1, tp=2, dp=1)
@@ -69,7 +44,7 @@ def build_tiny_system(**kwargs):
         },
     )
     return build_rlhf_system(
-        AlgoType.PPO, plan, LM_CFG, max_new_tokens=8, lr=5e-3, **kwargs
+        AlgoType.PPO, plan, TINY_LM, max_new_tokens=8, lr=5e-3, **kwargs
     )
 
 
@@ -321,7 +296,7 @@ class TestCraftedMisconfigurations:
     def test_indivisible_batch_is_sf703(self):
         report = ShapeFlowChecker(global_batch_size=7).check_plan(
             AlgoType.PPO,
-            tiny_plan(),
+            tiny_plan(AlgoType.PPO),
             function_rewards=("reward",),
             prompt_length=4,
             max_new_tokens=6,
@@ -332,7 +307,7 @@ class TestCraftedMisconfigurations:
     def test_context_overflow_is_sf705(self):
         report = ShapeFlowChecker(global_batch_size=8).check_plan(
             AlgoType.PPO,
-            tiny_plan(),
+            tiny_plan(AlgoType.PPO),
             function_rewards=("reward",),
             prompt_length=20,
             max_new_tokens=20,
@@ -343,7 +318,7 @@ class TestCraftedMisconfigurations:
     def test_symbolic_batch_defers_divisibility(self):
         report = ShapeFlowChecker().check_plan(
             AlgoType.PPO,
-            tiny_plan(),
+            tiny_plan(AlgoType.PPO),
             function_rewards=("reward",),
             prompt_length=4,
             max_new_tokens=6,

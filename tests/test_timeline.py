@@ -4,20 +4,12 @@ import numpy as np
 
 from repro.config import GenParallelConfig, ParallelConfig
 from repro.data.dataset import PromptDataset, SyntheticPreferenceTask
-from repro.models.tinylm import TinyLMConfig
 from repro.rlhf.core import AlgoType
 from repro.runtime import ModelAssignment, PlacementPlan, build_rlhf_system
+from repro.runtime.presets import TINY_LM, tiny_plan
 from repro.runtime.timeline import Timeline, TimelineEvent, build_timeline
 from repro.single_controller.controller import ExecutionRecord
 
-CFG = TinyLMConfig(
-    n_layers=2,
-    hidden_size=32,
-    n_heads=4,
-    ffn_hidden_size=48,
-    vocab_size=16,
-    max_seq_len=32,
-)
 TASK = SyntheticPreferenceTask(vocab_size=16)
 PAR = ParallelConfig(1, 2, 1)
 GEN = GenParallelConfig.derive(PAR, 1, 1)
@@ -36,17 +28,9 @@ def build_system(split: bool):
             },
         )
     else:
-        plan = PlacementPlan(
-            pools={"main": 2, "r": 1},
-            assignments={
-                "actor": ModelAssignment("main", PAR, GEN),
-                "reference": ModelAssignment("main", PAR),
-                "critic": ModelAssignment("main", PAR),
-                "reward": ModelAssignment("r", ONE),
-            },
-        )
+        plan = tiny_plan(AlgoType.PPO)
     return build_rlhf_system(
-        AlgoType.PPO, plan, CFG, reward_fn=TASK.reward, max_new_tokens=5
+        AlgoType.PPO, plan, TINY_LM, reward_fn=TASK.reward, max_new_tokens=5
     )
 
 
