@@ -121,7 +121,7 @@ def main(argv=None) -> int:
 
     exit_code = 0
     if args.trace:
-        from repro.analysis import RaceDetector, TraceAuditor
+        from repro.analysis import audit_run
         from repro.observability import write_chrome_trace
 
         out = write_chrome_trace(
@@ -130,8 +130,7 @@ def main(argv=None) -> int:
             spans=async_sys.controller.tracer.spans,
         )
         print(f"  wrote Chrome trace to {out} (load in chrome://tracing)")
-        audit = TraceAuditor().audit_system(async_sys)
-        RaceDetector().detect_system(async_sys, report=audit)
+        audit = audit_run(async_sys)
         for line in audit.summary_lines():
             print(f"  {line}")
         races = [f for f in audit.findings if f.rule.startswith("RC")]

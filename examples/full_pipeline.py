@@ -137,7 +137,7 @@ def main(argv=None) -> int:
     )
     exit_code = 0
     if args.trace:
-        from repro.analysis import RaceDetector, TraceAuditor
+        from repro.analysis import audit_run
         from repro.observability import write_chrome_trace
         from repro.runtime.report import system_report_dict
         from repro.runtime.timeline import build_timeline
@@ -149,12 +149,10 @@ def main(argv=None) -> int:
         )
         print(f"  wrote Chrome trace to {out} (load in chrome://tracing)")
 
-        # post-run audit: happens-before over the spans and ledgers; the
-        # findings ride along inside the machine-readable run report
-        audit = TraceAuditor().audit_system(system)
-        # vector-clock race detection over the same trace plus the
-        # shared-state access log (device memory, checkpoints, merges)
-        RaceDetector().detect_system(system, report=audit)
+        # post-run trace pass: happens-before over the spans, ledgers and
+        # the shared-state access log; the findings ride along inside the
+        # machine-readable run report
+        audit = audit_run(system)
         for line in audit.summary_lines():
             print(f"  {line}")
         # SF7xx cross-validation: recorded runtime shapes vs the static

@@ -1,13 +1,17 @@
 """Static and post-hoc analysis of composed RLHF dataflows (``repro check``).
 
-Seven passes behind one report type:
+Six passes behind one report type:
 
 * :class:`DataflowChecker` — pre-execution: protocol/topology compatibility,
   batch divisibility, serving config, projected memory vs capacity, per-
   algorithm plan structure (PPO / ReMax / GRPO / Safe-RLHF).
-* :class:`TraceAuditor` — post-execution: happens-before over spans,
-  timeline overlap, memory-ledger leaks / double frees / negative balances,
-  busy-accounting consistency.
+* :func:`audit_run` — post-execution, over one :class:`RunRecord` loaded
+  from a live run or an exported Chrome trace: timeline overlap, span
+  nesting, memory-ledger leaks / double frees / negative balances,
+  busy-accounting consistency, and vector-clock happens-before over the
+  execution trace plus the shared-state access log (conflicting accesses
+  with no ordering edge, including the nondeterministic ``merge_outputs``
+  hazard).
 * :class:`RepoLint` — AST rules over the source tree (seeded RNG only, no
   wall-clock reads, no float ``==``, json via ``json_safe``, no module-state
   mutation in workers, no stale suppressions).
@@ -15,14 +19,11 @@ Seven passes behind one report type:
   the parameter space, the train→generation gather plan is complete and
   (under HYBRIDFLOW grouping) redundancy-free, collective group families
   partition their pools, and ZeRO/FSDP configs match the memory projection.
-* :class:`RaceDetector` — vector-clock happens-before over the execution
-  trace plus the shared-state access log; flags conflicting accesses with
-  no ordering edge, including the nondeterministic ``merge_outputs`` hazard.
 * :class:`ModelChecker` — bounded stateless model checking with sleep-set
   partial-order reduction over explicit state-machine models of the
   shipped concurrent protocols (async pipeline, drain hand-off, fleet
   gang scheduling); violations carry minimal counterexample schedules
-  replayable through the RaceDetector / TraceAuditor.
+  replayable through :func:`audit_run`.
 * :class:`ShapeFlowChecker` — abstract interpretation of symbolic array
   shapes and dtypes through the whole algorithm graph: declarative
   ``@shape_contract`` specs on worker methods, per-protocol split/collect
@@ -45,7 +46,6 @@ from repro.analysis.modelcheck import (
     seeded_mutants,
     shipped_models,
 )
-from repro.analysis.races import RaceDetector
 from repro.analysis.report import ERROR, WARNING, AnalysisReport, Finding
 from repro.analysis.repolint import ALL_RULES, RepoLint
 from repro.analysis.shapeflow import (
@@ -71,11 +71,12 @@ from repro.analysis.sharding import (
     sweep_overlap_fraction,
     sweep_union_fraction,
 )
-from repro.analysis.trace_audit import PERSISTENT_SUFFIXES, TraceAuditor
+from repro.analysis.trace import PERSISTENT_SUFFIXES, Call, RunRecord, audit_run
 
 __all__ = [
     "ALL_RULES",
     "AnalysisReport",
+    "Call",
     "ContractError",
     "Counterexample",
     "DataflowChecker",
@@ -87,16 +88,16 @@ __all__ = [
     "ModelChecker",
     "PERSISTENT_SUFFIXES",
     "ProbeGroup",
-    "RaceDetector",
     "RepoLint",
+    "RunRecord",
     "SF_MUTATIONS",
     "SF_RULES",
     "ShapeFlowChecker",
     "ShapeRecorder",
     "ShardingVerifier",
     "SymArray",
-    "TraceAuditor",
     "WARNING",
+    "audit_run",
     "cross_validate",
     "parse_contract",
     "predict_protocol_shapes",

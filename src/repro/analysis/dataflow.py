@@ -30,7 +30,14 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import ERROR, WARNING, AnalysisReport
-from repro.config import ClusterSpec, ModelSpec, RlhfWorkload
+from repro.config import (
+    MODEL_SPECS,
+    ClusterSpec,
+    GenParallelConfig,
+    ModelSpec,
+    ParallelConfig,
+    RlhfWorkload,
+)
 from repro.single_controller.decorator import registered_protocol
 from repro.single_controller.protocols import get_protocol
 
@@ -376,6 +383,55 @@ class DataflowChecker:
                     hint="disable use_serving for async-pipeline runs, or "
                     "drive the serving engine synchronously",
                 )
+        return report
+
+    def check_shipped(self) -> AnalysisReport:
+        """Validate the configurations the repo ships, merged.
+
+        The tiny functional PPO placement every faults/trace/metrics
+        subcommand runs (function reward on a 1-GPU pool), a full-scale
+        llama-7b colocated placement with the memory projection enabled
+        (App. C) — the same shape §8's evaluation clusters use — and the
+        shipped async-pipeline config (DF108 soundness of the
+        bounded-staleness relaxation).
+        """
+        from repro.pipeline import PipelineConfig
+        from repro.rlhf.core import MODELS_BY_ALGO, AlgoType
+        from repro.rlhf.trainers import TrainerConfig
+        from repro.runtime import ModelAssignment, PlacementPlan
+        from repro.runtime.presets import tiny_plan
+
+        report = self.check_plan(
+            AlgoType.PPO, tiny_plan(AlgoType.PPO), function_rewards=("reward",)
+        )
+        full_par = ParallelConfig(pp=1, tp=8, dp=2)
+        full_plan = PlacementPlan(
+            pools={"all": 16},
+            assignments={
+                "actor": ModelAssignment(
+                    "all", full_par, GenParallelConfig.derive(full_par, 1, 2)
+                ),
+                "critic": ModelAssignment("all", full_par),
+                "reference": ModelAssignment("all", full_par),
+                "reward": ModelAssignment("all", full_par),
+            },
+        )
+        full_scale = DataflowChecker(
+            global_batch_size=1024,
+            model_specs={
+                role: MODEL_SPECS["llama-7b"]
+                for role in MODELS_BY_ALGO[AlgoType.PPO]
+            },
+            cluster_spec=ClusterSpec(n_machines=2),
+        )
+        report.merge(full_scale.check_plan(AlgoType.PPO, full_plan))
+        report.merge(
+            self.check_pipeline(
+                PipelineConfig(staleness_window=1),
+                TrainerConfig(),
+                AlgoType.PPO,
+            )
+        )
         return report
 
     # -- individual passes -----------------------------------------------------------

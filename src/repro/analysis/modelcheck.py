@@ -35,11 +35,10 @@ A violation is reported as a ``Finding`` carrying a *minimal*
 counterexample schedule (breadth-first shortened after the DFS finds a
 witness).  Counterexamples are replayable:
 :func:`~repro.analysis.protocols.core.replay_schedule` turns one into
-trace records + access events + a synthetic ledger device, which
-:func:`cross_validate` feeds to the existing
-:class:`~repro.analysis.races.RaceDetector` and
-:class:`~repro.analysis.trace_audit.TraceAuditor` — a dropped guard found
-by the checker shows up again as RC501 / TA205 in the dynamic passes.
+dispatched calls + access events + a synthetic ledger device, which
+:func:`cross_validate` feeds to the post-run trace pass
+(:func:`~repro.analysis.trace.audit_run`) — a dropped guard found by the
+checker shows up again as RC501 / TA205 there.
 """
 
 from __future__ import annotations
@@ -491,25 +490,21 @@ def seeded_mutants() -> Tuple[Tuple[ProtocolModel, str], ...]:
 def cross_validate(
     model: ProtocolModel, schedule: Iterable[str]
 ) -> AnalysisReport:
-    """Replay a (counterexample) schedule through the dynamic validators.
+    """Replay a (counterexample) schedule through the post-run trace pass.
 
-    The schedule is re-executed on the model; the emitted trace records
-    and access events go to :class:`~repro.analysis.races.RaceDetector`,
-    the synthetic ledger device to
-    :class:`~repro.analysis.trace_audit.TraceAuditor`.  An intact
-    protocol's schedules replay clean; a mutant's counterexample is
-    flagged by RC501 (unordered conflicting accesses) and/or TA205
-    (ledger contract violated).
+    The schedule is re-executed on the model; the emitted calls, access
+    events and synthetic ledger device form one
+    :class:`~repro.analysis.trace.RunRecord` for
+    :func:`~repro.analysis.trace.audit_run`.  An intact protocol's
+    schedules replay clean; a mutant's counterexample is flagged by RC501
+    (unordered conflicting accesses) and/or TA205 (ledger contract
+    violated).
     """
-    from repro.analysis.races import RaceDetector
-    from repro.analysis.trace_audit import TraceAuditor
+    from repro.analysis.trace import RunRecord, audit_run
 
-    records, events, device = replay_schedule(model, list(schedule))
-    report = AnalysisReport(f"replay:{model.name}")
-    RaceDetector().detect(records, events, report=report)
-    report.merge(
-        TraceAuditor().audit(devices=[device], check_busy_accounting=False)
-    )
+    calls, events, device = replay_schedule(model, list(schedule))
+    report = audit_run(RunRecord(calls=calls, events=events, devices=[device]))
+    report.name = f"replay:{model.name}"
     return report
 
 

@@ -9,8 +9,9 @@ kept honest two ways:
 * conformance tests replay real-implementation traces through the model
   (every op the real code performs must be an enabled model action), and
 * counterexample schedules replay *out* of the model into the existing
-  validators (:func:`replay_schedule` emits trace records, access events,
-  and a synthetic ledger device for RaceDetector / TraceAuditor).
+  post-run trace pass (:func:`replay_schedule` emits dispatched calls,
+  access events, and a synthetic ledger device for
+  :func:`~repro.analysis.trace.audit_run`).
 
 Each :class:`Action` therefore carries two kinds of footprint:
 
@@ -36,7 +37,7 @@ capacities are the protocol's *contract* (at most ``W + 1`` in-flight
 rollouts, one batch per buffer slot, one gang per device).  A mutant that
 silently exceeds the contract — or frees what was never allocated — shows
 up as a ``TA205`` negative balance when the counterexample is replayed
-through :class:`~repro.analysis.trace_audit.TraceAuditor`.
+through :func:`~repro.analysis.trace.audit_run`.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ class _LedgerEvent(NamedTuple):
 
 
 class _ReplayMemory:
-    """Duck-typed device memory for TraceAuditor's ledger audit.
+    """Duck-typed device memory for the trace pass's ledger rules.
 
     ``balance`` after each event is the most negative of (remaining
     per-tag contract headroom, the tag's outstanding allocation) — so
@@ -203,43 +204,29 @@ class ReplayDevice:
         self.memory = _ReplayMemory(model.tag_capacity)
 
 
-class _ReplayRecord:
-    """ExecutionRecord-shaped row for the RaceDetector."""
-
-    __slots__ = ("seq", "pool", "group", "method", "deps")
-
-    def __init__(
-        self, seq: int, pool: str, group: str, method: str,
-        deps: Tuple[int, ...],
-    ) -> None:
-        self.seq = seq
-        self.pool = pool
-        self.group = group
-        self.method = method
-        self.deps = deps
-
-
 def replay_schedule(model: ProtocolModel, schedule: List[str]):
     """Re-execute ``schedule`` and emit validator-shaped artifacts.
 
-    Returns ``(records, events, device)``:
+    Returns ``(calls, events, device)``:
 
-    * ``records`` — one ExecutionRecord-shaped entry per action; ``pool``
-      is the action's thread, ``deps`` are the records that last released
-      each token the action syncs on (the protocol's happens-before edges).
+    * ``calls`` — one :class:`~repro.analysis.trace.Call` per action;
+      ``pool`` is the action's thread, ``deps`` are the calls that last
+      released each token the action syncs on (the protocol's
+      happens-before edges).
     * ``events`` — one :class:`AccessEvent` per declared *data* access.
     * ``device`` — a :class:`ReplayDevice` whose ledger was charged by the
       actions' ``allocs`` / ``frees`` against the model's contract.
 
-    Feeding these to :class:`~repro.analysis.races.RaceDetector` /
-    :class:`~repro.analysis.trace_audit.TraceAuditor` cross-validates a
-    counterexample with the shipped dynamic analyses: an intact protocol's
-    schedules replay clean, a dropped guard shows up as RC501 / TA205.
+    Feeding these to :func:`~repro.analysis.trace.audit_run`
+    cross-validates a counterexample with the shipped post-run analysis:
+    an intact protocol's schedules replay clean, a dropped guard shows up
+    as RC501 / TA205.
     """
+    from repro.analysis.trace import Call
     from repro.single_controller.access_log import READ, WRITE, AccessEvent
 
     state = model.initial_state()
-    records: List[_ReplayRecord] = []
+    calls: List[Call] = []
     events: List[Any] = []
     device = ReplayDevice(model)
     released_at: Dict[str, int] = {}
@@ -260,8 +247,8 @@ def replay_schedule(model: ProtocolModel, schedule: List[str]):
                 }
             )
         )
-        records.append(
-            _ReplayRecord(seq, action.thread, model.name, action.name, deps)
+        calls.append(
+            Call(seq, action.thread, f"{model.name}.{action.name}", deps)
         )
         for resource in action.reads:
             events.append(
@@ -292,7 +279,7 @@ def replay_schedule(model: ProtocolModel, schedule: List[str]):
         for token in action.releases:
             released_at[token] = seq
         state = model.apply(state, action)
-    return records, events, device
+    return calls, events, device
 
 
 __all__ = [

@@ -1,6 +1,6 @@
 """Symbolic shape/dtype flow analysis over the RLHF dataflow graph (SF7xx).
 
-The seventh static pass behind ``repro check``: an abstract interpreter that
+The sixth pass behind ``repro check``: an abstract interpreter that
 propagates *symbolic array shapes and dtypes* through a whole algorithm graph
 — PPO, ReMax, Safe-RLHF, GRPO (Figure 1) — before any worker exists.  Dims
 are affine expressions over the batch ``B``, prompt length ``P``, response

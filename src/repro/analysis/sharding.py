@@ -37,6 +37,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import ERROR, AnalysisReport
 from repro.comm.groups import ProcessGroup, partition_problems
+from repro.config import (
+    MODEL_SPECS,
+    ClusterSpec,
+    GenParallelConfig,
+    ParallelConfig,
+)
 from repro.parallel.fsdp import (
     FsdpConfig,
     fsdp_grad_sync_volume,
@@ -483,6 +489,46 @@ class ShardingVerifier:
             report=report,
             location=location,
         )
+
+    def check_shipped(self) -> AnalysisReport:
+        """Verify the configurations the repo ships, merged.
+
+        Proves the resharding geometry for the tiny functional placement
+        and the llama-7b colocated placement in both grouping modes, and
+        checks the ZeRO-3 / FSDP configs the baselines assume against the
+        memory projection.
+        """
+        report = AnalysisReport("sharding")
+        for name, par, gen_pp, gen_tp in (
+            ("tiny-ppo", ParallelConfig(pp=1, tp=2, dp=1), 1, 1),
+            ("llama-7b-colocate", ParallelConfig(pp=1, tp=8, dp=2), 1, 2),
+        ):
+            topo = ParallelTopology(par, name=name)
+            self.verify_topology(topo, report=report)
+            for mode in (GenGroupingMode.HYBRIDFLOW, GenGroupingMode.VANILLA):
+                gen = GenTopology(
+                    topo, GenParallelConfig.derive(par, gen_pp, gen_tp), mode
+                )
+                self.verify_transition(gen, report=report)
+        n_params = MODEL_SPECS["llama-7b"].n_params()
+        cluster = ClusterSpec(n_machines=2)
+        self.verify_zero(
+            ZeroConfig(ZeroStage.PARAMETERS, dp=cluster.n_gpus),
+            n_params,
+            cluster.n_gpus,
+            capacity_bytes=cluster.gpu.memory_bytes,
+            report=report,
+            location="zero[llama-7b]",
+        )
+        self.verify_fsdp(
+            FsdpConfig(dp=cluster.n_gpus, strategy="full"),
+            n_params,
+            cluster.n_gpus,
+            capacity_bytes=cluster.gpu.memory_bytes,
+            report=report,
+            location="fsdp[llama-7b]",
+        )
+        return report
 
 
 def _dedupe(groups) -> List[ProcessGroup]:

@@ -31,7 +31,7 @@ Thirteen subcommands, mirroring the evaluation's workflows:
   resizing, checkpoint-and-evict preemption, and per-job MTTR/goodput/
   fairness accounting (``repro.fleet``).
 * ``check`` — the static and post-run analysis gate (``repro.analysis``):
-  repo lint, dataflow, sharding, trace audit and race passes, plus the
+  repo lint, dataflow, sharding and the post-run trace pass, plus the
   protocol model checker (``--models``) and symbolic shape flow
   (``--shapes``).
 * ``bench`` — run the pinned perf workloads (``repro.perf.bench``) and
@@ -738,195 +738,70 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def _example_plan_reports(batch: int):
-    """DataflowChecker reports for the configurations the repo ships.
-
-    Two plans are checked: the tiny functional PPO placement every
-    faults/trace/metrics subcommand runs (function reward on a 1-GPU pool),
-    and a full-scale llama-7b colocated placement with the memory projection
-    enabled (App. C) — the same shape §8's evaluation clusters use.
-    """
-    from repro.analysis import DataflowChecker
-    from repro.runtime import ModelAssignment, PlacementPlan
-    from repro.runtime.presets import tiny_plan
-
-    reports = []
-    checker = DataflowChecker(global_batch_size=batch)
-    report = checker.check_plan(
-        AlgoType.PPO, tiny_plan(AlgoType.PPO), function_rewards=("reward",)
-    )
-    report.name = "dataflow[tiny-ppo]"
-    reports.append(report)
-
-    full_par = ParallelConfig(pp=1, tp=8, dp=2)
-    full_plan = PlacementPlan(
-        pools={"all": 16},
-        assignments={
-            "actor": ModelAssignment(
-                "all", full_par, GenParallelConfig.derive(full_par, 1, 2)
-            ),
-            "critic": ModelAssignment("all", full_par),
-            "reference": ModelAssignment("all", full_par),
-            "reward": ModelAssignment("all", full_par),
-        },
-    )
-    checker = DataflowChecker(
-        global_batch_size=1024,
-        model_specs={
-            role: MODEL_SPECS["llama-7b"]
-            for role in MODELS_BY_ALGO[AlgoType.PPO]
-        },
-        workload=RlhfWorkload(),
-        cluster_spec=ClusterSpec(n_machines=2),
-    )
-    report = checker.check_plan(AlgoType.PPO, full_plan)
-    report.name = "dataflow[llama-7b-colocate]"
-    reports.append(report)
-
-    # the shipped async-pipeline config (repro pipeline / async_ppo_overlap
-    # bench): DF108 soundness of the bounded-staleness relaxation
-    from repro.pipeline import PipelineConfig
-    from repro.rlhf.trainers import TrainerConfig
-
-    report = DataflowChecker(global_batch_size=batch).check_pipeline(
-        PipelineConfig(staleness_window=1), TrainerConfig(), AlgoType.PPO
-    )
-    report.name = "dataflow[async-pipeline]"
-    reports.append(report)
-    return reports
-
-
-def _sharding_reports():
-    """ShardingVerifier reports for the configurations the repo ships.
-
-    Proves the resharding geometry for the tiny functional placement and
-    the llama-7b colocated placement in both grouping modes, and checks
-    the ZeRO-3 / FSDP configs the baselines assume against the memory
-    projection.
-    """
-    from repro.analysis import ShardingVerifier
-    from repro.parallel.fsdp import FsdpConfig
-    from repro.parallel.topology import (
-        GenGroupingMode,
-        GenTopology,
-        ParallelTopology,
-    )
-    from repro.parallel.zero import ZeroConfig, ZeroStage
-
-    verifier = ShardingVerifier()
-    reports = []
-    for name, par, gen_pp, gen_tp in (
-        ("tiny-ppo", ParallelConfig(pp=1, tp=2, dp=1), 1, 1),
-        ("llama-7b-colocate", ParallelConfig(pp=1, tp=8, dp=2), 1, 2),
-    ):
-        topo = ParallelTopology(par, name=name)
-        report = verifier.verify_topology(topo)
-        for mode in (GenGroupingMode.HYBRIDFLOW, GenGroupingMode.VANILLA):
-            gen = GenTopology(
-                topo, GenParallelConfig.derive(par, gen_pp, gen_tp), mode
-            )
-            verifier.verify_transition(gen, report=report)
-        report.name = f"sharding[{name}]"
-        reports.append(report)
-
-    spec = MODEL_SPECS["llama-7b"]
-    cluster = ClusterSpec(n_machines=2)
-    report = verifier.verify_zero(
-        ZeroConfig(ZeroStage.PARAMETERS, dp=cluster.n_gpus),
-        spec.n_params(),
-        cluster.n_gpus,
-        capacity_bytes=cluster.gpu.memory_bytes,
-        location="zero[llama-7b]",
-    )
-    verifier.verify_fsdp(
-        FsdpConfig(dp=cluster.n_gpus, strategy="full"),
-        spec.n_params(),
-        cluster.n_gpus,
-        capacity_bytes=cluster.gpu.memory_bytes,
-        report=report,
-        location="fsdp[llama-7b]",
-    )
-    report.name = "sharding[zero/fsdp]"
-    reports.append(report)
-    return reports
-
-
 def cmd_check(args: argparse.Namespace) -> int:
-    """``repro check``: lint + dataflow + trace + sharding + races
-    (+ models, + shapes)."""
+    """``repro check``: every selected analysis pass, one merged report."""
     import json
+    import pathlib
 
     from repro.analysis import (
         AnalysisReport,
-        RaceDetector,
+        DataflowChecker,
+        ModelChecker,
         RepoLint,
-        TraceAuditor,
+        ShapeFlowChecker,
+        ShardingVerifier,
+        audit_run,
     )
     from repro.serialization import json_safe
 
-    as_json = args.json or args.format == "json"
+    as_json = args.format == "json"
     out = sys.stderr if as_json else sys.stdout
-    skip = set(args.skip or ())
+    selected = {"lint", "dataflow", "sharding", "trace"} - set(args.skip or ())
+    selected |= {name for name in ("shapes", "models") if getattr(args, name)}
+    trace_file = pathlib.Path(args.trace_file)
+    if "trace" in selected and not trace_file.exists():
+        print(f"repro check: no trace file at {trace_file}", file=sys.stderr)
+        return 2
+    checker = ModelChecker(max_depth=args.mc_depth, max_states=args.mc_states)
+    passes = (
+        ("lint", lambda: RepoLint().lint_paths(args.paths)),
+        (
+            "dataflow",
+            lambda: DataflowChecker(global_batch_size=args.batch).check_shipped(),
+        ),
+        ("sharding", lambda: ShardingVerifier().check_shipped()),
+        ("trace", lambda: audit_run(json.loads(trace_file.read_text()))),
+        ("shapes", lambda: ShapeFlowChecker().check_shipped(batch=args.batch)),
+        ("models", checker.check_shipped),
+    )
     combined = AnalysisReport("repro check")
-    if "lint" not in skip:
-        lint = RepoLint().lint_paths(args.paths)
-        combined.merge(lint)
-    if "dataflow" not in skip:
-        for report in _example_plan_reports(args.batch):
-            combined.merge(report)
-    if "sharding" not in skip:
-        for report in _sharding_reports():
-            combined.merge(report)
-    trace_doc = None
-    if "trace" not in skip or "races" not in skip:
-        import pathlib
-
-        golden = pathlib.Path(args.trace_file)
-        if golden.exists():
-            trace_doc = json.loads(golden.read_text())
-        else:
-            print(f"note: no trace file at {golden}, audit skipped", file=out)
-    if "trace" not in skip and trace_doc is not None:
-        combined.merge(TraceAuditor().audit_chrome_trace(trace_doc))
-    if "races" not in skip and trace_doc is not None:
-        combined.merge(RaceDetector().detect_chrome_trace(trace_doc))
-    if args.shapes:
-        from repro.analysis import shipped_graph_reports
-
-        for _name, report in shipped_graph_reports(batch=args.batch):
-            combined.merge(report)
-    if args.models:
+    for name, run in passes:
+        if name in selected:
+            combined.merge(run())
+    if args.models and args.mc_report:
         import dataclasses
-        import pathlib
 
-        from repro.analysis import ModelChecker
-
-        checker = ModelChecker(
-            max_depth=args.mc_depth, max_states=args.mc_states
+        doc = {
+            "max_depth": args.mc_depth,
+            "max_states": args.mc_states,
+            "models": [
+                {
+                    "model": result.model,
+                    "states": result.states,
+                    "transitions": result.transitions,
+                    "truncated": result.truncated,
+                    "counterexamples": [
+                        dataclasses.asdict(ce)
+                        for ce in result.counterexamples
+                    ],
+                }
+                for result in checker.last_results
+            ],
+        }
+        pathlib.Path(args.mc_report).write_text(
+            json.dumps(json_safe(doc, "mc_report"), indent=2) + "\n"
         )
-        combined.merge(checker.check_shipped())
-        if args.mc_report:
-            doc = {
-                "max_depth": args.mc_depth,
-                "max_states": args.mc_states,
-                "models": [
-                    {
-                        "model": result.model,
-                        "states": result.states,
-                        "transitions": result.transitions,
-                        "truncated": result.truncated,
-                        "counterexamples": [
-                            dataclasses.asdict(ce)
-                            for ce in result.counterexamples
-                        ],
-                    }
-                    for result in checker.last_results
-                ],
-            }
-            pathlib.Path(args.mc_report).write_text(
-                json.dumps(json_safe(doc, "mc_report"), indent=2) + "\n"
-            )
-            print(f"model-check report written to {args.mc_report}", file=out)
+        print(f"model-check report written to {args.mc_report}", file=out)
     for line in combined.summary_lines():
         print(line, file=out)
     if as_json:
@@ -952,8 +827,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     Always runs the staleness=0 self-check first — the async driver with an
     empty window must land bit-for-bit on the synchronous trainer's weights —
     then runs the requested window and reports the overlap.  With ``--trace``
-    the overlapped schedule is exported and put through the trace auditor and
-    the vector-clock race detector; any RC5xx finding fails the command.
+    the overlapped schedule is exported and put through the post-run trace
+    pass; any RC5xx finding fails the command.
     """
     from repro.data import PromptDataset
     from repro.pipeline import (
@@ -1023,7 +898,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         )
 
     if args.trace:
-        from repro.analysis import RaceDetector, TraceAuditor
+        from repro.analysis import audit_run
         from repro.observability import write_chrome_trace
 
         out = write_chrome_trace(
@@ -1032,8 +907,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             spans=async_sys.controller.tracer.spans,
         )
         print(f"  wrote Chrome trace to {out}")
-        audit = TraceAuditor().audit_system(async_sys)
-        RaceDetector().detect_system(async_sys, report=audit)
+        audit = audit_run(async_sys)
         for line in audit.summary_lines():
             print(f"  {line}")
         races = [f for f in audit.findings if f.rule.startswith("RC")]
@@ -1389,9 +1263,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "repro check gate: RepoLint over the tree, DataflowChecker over "
             "the shipped example plans, ShardingVerifier over the shipped "
-            "topologies, TraceAuditor + RaceDetector over the golden trace, "
-            "(with --models) the MC6xx protocol model checker, and (with "
-            "--shapes) the SF7xx symbolic shape/dtype flow pass"
+            "topologies, the post-run trace pass (TA2xx + RC5xx) over the "
+            "golden trace, (with --models) the MC6xx protocol model "
+            "checker, and (with --shapes) the SF7xx symbolic shape/dtype "
+            "flow pass"
         ),
     )
     p.add_argument(
@@ -1408,7 +1283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--skip",
         action="append",
-        choices=("lint", "dataflow", "sharding", "trace", "races"),
+        choices=("lint", "dataflow", "sharding", "trace"),
         metavar="PASS",
         help="skip one of the passes; repeatable",
     )
@@ -1421,7 +1296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trace-file",
         default="tests/golden/chrome_trace.json",
-        help="Chrome trace JSON to audit",
+        help="Chrome trace JSON for the trace pass (must exist unless "
+        "--skip trace)",
     )
     p.add_argument(
         "--models",
@@ -1468,11 +1344,6 @@ def build_parser() -> argparse.ArgumentParser:
             "report format: json puts the machine-readable report on stdout "
             "and the human summary on stderr"
         ),
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="alias for --format json",
     )
     p.set_defaults(fn=cmd_check)
 
@@ -1559,7 +1430,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help=(
             "write a Chrome trace of the overlapped run and gate it through "
-            "the trace auditor + vector-clock race detector"
+            "the post-run trace pass (TA2xx + RC5xx)"
         ),
     )
     p.set_defaults(fn=cmd_pipeline)

@@ -17,14 +17,14 @@ from repro.config import GpuSpec
 
 @dataclasses.dataclass(frozen=True)
 class LedgerEvent:
-    """One memory-ledger operation, kept for the post-run TraceAuditor.
+    """One memory-ledger operation, kept for the post-run trace pass.
 
     ``nbytes`` is the bytes the operation moved (requested for ``alloc`` /
     ``resize``, released for ``free`` / ``clear``); ``balance`` is what the
     tag holds afterwards.  A ``free`` with ``nbytes == 0`` on a tag whose
     previous event was also a ``free`` is a double free; a negative
     ``balance`` can only come from a corrupted event stream — both are
-    findings of :class:`~repro.analysis.TraceAuditor`.
+    findings of :func:`~repro.analysis.audit_run`.
     """
 
     op: str  # "alloc" | "free" | "resize" | "clear"
@@ -61,7 +61,7 @@ class DeviceMemory:
         self._device = device
         self._allocations: Dict[str, int] = {}
         self.peak_used = 0
-        #: Every ledger operation in order, for the TraceAuditor.
+        #: Every ledger operation in order, for the post-run trace pass.
         self.events: List[LedgerEvent] = []
         #: Tags that ever held bytes on this device — distinguishes a benign
         #: free of a tag this rank never allocated (e.g. broadcast teardown)

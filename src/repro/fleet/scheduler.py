@@ -447,12 +447,7 @@ class FleetScheduler:
 
     def _check(self, job: _JobRuntime) -> None:
         """Run the repo's DF/TA/SH/RC analysis gate over one finished job."""
-        from repro.analysis import (
-            DataflowChecker,
-            RaceDetector,
-            ShardingVerifier,
-            TraceAuditor,
-        )
+        from repro.analysis import DataflowChecker, ShardingVerifier, audit_run
 
         if self.analysis is None:
             from repro.analysis import AnalysisReport
@@ -460,8 +455,7 @@ class FleetScheduler:
             self.analysis = AnalysisReport(name="fleet")
         system = job.system
         self.analysis.merge(DataflowChecker().check_system(system))
-        self.analysis.merge(TraceAuditor().audit_system(system))
-        self.analysis.merge(RaceDetector().detect_system(system))
+        self.analysis.merge(audit_run(system))
         verifier = ShardingVerifier()
         actor = system.groups["actor"]
         sh = verifier.verify_topology(actor.train_topology)

@@ -158,7 +158,7 @@ def system_report_dict(
 
     Args:
         analysis: Optional :class:`~repro.analysis.AnalysisReport` (e.g. the
-            TraceAuditor's post-run audit); embedded under ``"analysis"``.
+            post-run trace pass); embedded under ``"analysis"``.
         model_check: Optional iterable of
             :class:`~repro.analysis.ModelCheckResult` (the MC6xx bounded
             protocol exploration); coverage and any counterexample

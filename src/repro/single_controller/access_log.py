@@ -1,4 +1,4 @@
-"""Shared-state access log for the vector-clock race detector.
+"""Shared-state access log for the vector-clock race rules (RC5xx).
 
 The simulated runtime executes strictly sequentially, so it can never
 *exhibit* a data race — but a plan that only works because the simulator
@@ -6,7 +6,7 @@ serialises everything would corrupt state on a real cluster.  To catch that
 class of bug statically, the controller records every read/write of shared
 state (device-memory tags, checkpoint files, worker-group merge buffers)
 together with enough ordering context for
-:class:`repro.analysis.races.RaceDetector` to rebuild the *intended*
+:func:`repro.analysis.audit_run` to rebuild the *intended*
 happens-before relation and flag conflicting accesses it does not order.
 
 Each :class:`AccessEvent` is stamped with the dispatch it occurred inside

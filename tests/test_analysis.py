@@ -1,4 +1,4 @@
-"""Tests for ``repro.analysis``: dataflow checker, trace auditor, repo lint.
+"""Tests for ``repro.analysis``: dataflow checker, trace pass, repo lint.
 
 Each misconfiguration path must produce exactly one precise finding, and a
 clean run of the repo's own example configuration must produce zero.
@@ -13,10 +13,12 @@ from repro.analysis import (
     ERROR,
     WARNING,
     AnalysisReport,
+    Call,
     DataflowChecker,
     Finding,
     RepoLint,
-    TraceAuditor,
+    RunRecord,
+    audit_run,
     registered_methods,
 )
 from repro.cluster import LedgerEvent, SimDevice
@@ -323,31 +325,18 @@ class TestDataflowVariants:
 
 
 # ---------------------------------------------------------------------------
-# TraceAuditor
+# Trace pass: TA2xx
 # ---------------------------------------------------------------------------
 
-
-class _FakeTimeline:
-    """The three methods the auditor reads, with controllable busy time."""
-
-    def __init__(self, busy=5.0):
-        self._busy = busy
-
-    def pools(self):
-        return ["main"]
-
-    def events_on(self, pool):
-        return []
-
-    def busy_time(self, pool):
-        return self._busy
+#: One 5 s call on pool "main": the timeline replay the busy check reads.
+MAIN_BUSY_5S = [Call(0, "main", "g.m", start=0.0, end=5.0)]
 
 
 class TestTraceAuditor:
     def test_leaked_tag_is_one_ta203(self):
         device = make_device()
         device.memory.alloc("actor/kv_cache", 128)
-        report = TraceAuditor().audit(devices=[device])
+        report = audit_run(RunRecord(devices=[device]))
         assert len(report.findings) == 1
         assert report.findings[0].rule == "TA203"
         assert "actor/kv_cache" in report.findings[0].message
@@ -357,14 +346,14 @@ class TestTraceAuditor:
         device.memory.alloc("actor/params", 128)
         device.memory.alloc("actor/grads", 128)
         device.memory.alloc("actor/optim", 128)
-        assert TraceAuditor().audit(devices=[device]).findings == []
+        assert audit_run(RunRecord(devices=[device])).findings == []
 
     def test_double_free_is_one_ta204(self):
         device = make_device()
         device.memory.alloc("actor/kv_cache", 128)
         device.memory.free_tag("actor/kv_cache")
         device.memory.free_tag("actor/kv_cache")
-        report = TraceAuditor().audit(devices=[device])
+        report = audit_run(RunRecord(devices=[device]))
         assert len(report.findings) == 1
         assert report.findings[0].rule == "TA204"
 
@@ -374,21 +363,21 @@ class TestTraceAuditor:
         device = make_device()
         device.memory.free_tag("actor/kv_cache")
         device.memory.free_tag("actor/kv_cache")
-        assert TraceAuditor().audit(devices=[device]).findings == []
+        assert audit_run(RunRecord(devices=[device])).findings == []
 
     def test_alloc_free_alloc_free_is_clean(self):
         device = make_device()
         for _ in range(2):
             device.memory.alloc("actor/kv_cache", 64)
             device.memory.free_tag("actor/kv_cache")
-        assert TraceAuditor().audit(devices=[device]).findings == []
+        assert audit_run(RunRecord(devices=[device])).findings == []
 
     def test_negative_balance_is_ta205(self):
         device = make_device()
         # a corrupted event stream, injected directly: the real ledger API
         # cannot produce this, which is exactly why the auditor checks it
         device.memory.events.append(LedgerEvent("alloc", "x", -8, -8))
-        report = TraceAuditor().audit(devices=[device])
+        report = audit_run(RunRecord(devices=[device]))
         assert [f.rule for f in report.findings] == ["TA205"]
 
     def test_span_escape_is_one_ta202(self):
@@ -396,7 +385,7 @@ class TestTraceAuditor:
         child = Span(
             2, "gen", "dispatch", start=5.0, end=12.0, parent_id=1
         )
-        report = TraceAuditor().audit(spans=[parent, child])
+        report = audit_run(RunRecord(spans=[parent, child]))
         assert len(report.findings) == 1
         assert report.findings[0].rule == "TA202"
         assert "escapes" in report.findings[0].message
@@ -406,15 +395,17 @@ class TestTraceAuditor:
         child = Span(
             2, "gen", "dispatch", start=2.0, end=8.0, parent_id=1
         )
-        assert TraceAuditor().audit(spans=[parent, child]).findings == []
+        assert audit_run(RunRecord(spans=[parent, child])).findings == []
 
     def test_busy_accounting_mismatch_is_ta206_warning(self):
         device = make_device()
         device.occupy(4.0)
-        report = TraceAuditor().audit(
-            timeline=_FakeTimeline(busy=5.0),
-            devices=[device],
-            device_pools={0: "main"},
+        report = audit_run(
+            RunRecord(
+                calls=MAIN_BUSY_5S,
+                devices=[device],
+                device_pools={0: "main"},
+            )
         )
         assert [f.rule for f in report.findings] == ["TA206"]
         assert report.findings[0].severity == WARNING
@@ -422,10 +413,12 @@ class TestTraceAuditor:
     def test_busy_accounting_match_is_clean(self):
         device = make_device()
         device.occupy(5.0)
-        report = TraceAuditor().audit(
-            timeline=_FakeTimeline(busy=5.0),
-            devices=[device],
-            device_pools={0: "main"},
+        report = audit_run(
+            RunRecord(
+                calls=MAIN_BUSY_5S,
+                devices=[device],
+                device_pools={0: "main"},
+            )
         )
         assert report.findings == []
         assert report.checked["busy_accounted_devices"] == 1
@@ -460,7 +453,7 @@ class TestTraceAuditor:
                 },
             ]
         }
-        report = TraceAuditor().audit_chrome_trace(doc)
+        report = audit_run(doc)
         assert len(report.findings) == 1
         assert report.findings[0].rule == "TA201"
         assert "pool main" in report.findings[0].location
@@ -470,7 +463,7 @@ class TestTraceAuditor:
 
         golden = pathlib.Path(__file__).parent / "golden" / "chrome_trace.json"
         doc = json.loads(golden.read_text())
-        report = TraceAuditor().audit_chrome_trace(doc)
+        report = audit_run(doc)
         assert report.findings == []
         assert report.checked["tracks"] >= 1
         assert report.checked["spans"] >= 1
@@ -838,7 +831,7 @@ class TestEndToEnd:
         assert report.findings == [], "\n".join(report.summary_lines())
 
     def test_clean_run_passes_trace_audit(self, tiny_system):
-        report = TraceAuditor().audit_system(tiny_system)
+        report = audit_run(tiny_system)
         assert report.findings == [], "\n".join(report.summary_lines())
         assert report.checked["ledger_events"] > 0
         assert report.checked["busy_accounted_devices"] == 3
@@ -846,7 +839,7 @@ class TestEndToEnd:
     def test_audit_embeds_in_system_report(self, tiny_system):
         from repro.runtime.report import system_report_dict
 
-        audit = TraceAuditor().audit_system(tiny_system)
+        audit = audit_run(tiny_system)
         doc = system_report_dict(tiny_system, analysis=audit)
         json.dumps(doc)  # sanitized end to end
         assert doc["analysis"]["n_errors"] == 0

@@ -10,7 +10,7 @@ analytic overlap model in ``repro.perf.async_pipeline``.
 import numpy as np
 import pytest
 
-from repro.analysis import DataflowChecker, RaceDetector, TraceAuditor
+from repro.analysis import DataflowChecker, audit_run
 from repro.config import ClusterSpec, GenParallelConfig, ParallelConfig
 from repro.data import PromptDataset
 from repro.perf.async_pipeline import async_schedule, overlap_speedup
@@ -238,8 +238,7 @@ class TestRaceFreedom:
         AsyncPipelineDriver(
             system.trainer, PipelineConfig(staleness_window=1)
         ).train(dataset(), n_iterations=3, batch_size=4)
-        report = TraceAuditor().audit_system(system)
-        RaceDetector().detect_system(system, report=report)
+        report = audit_run(system)
         races = [f for f in report.findings if f.rule.startswith("RC")]
         assert races == []
         assert report.ok(strict=True)

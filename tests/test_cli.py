@@ -222,8 +222,6 @@ class TestCheckCommand:
                 "dataflow",
                 "--skip",
                 "trace",
-                "--skip",
-                "races",
             ]
         ) == 0
         captured = capsys.readouterr()
@@ -234,15 +232,23 @@ class TestCheckCommand:
         # human summary moved to stderr
         assert "repro check passed" in captured.err
 
-    def test_json_flag_is_an_alias(self, capsys):
-        import json as json_mod
-
+    def test_missing_trace_file_is_a_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
         assert main(
-            ["check", "--json", "--skip", "lint", "--skip", "dataflow",
-             "--skip", "trace", "--skip", "races"]
-        ) == 0
-        doc = json_mod.loads(capsys.readouterr().out)
-        assert doc["name"] == "repro check"
+            [
+                "check",
+                "--strict",
+                "--skip",
+                "lint",
+                "--skip",
+                "dataflow",
+                "--skip",
+                "sharding",
+                "--trace-file",
+                str(missing),
+            ]
+        ) == 2
+        assert "no trace file" in capsys.readouterr().err
 
     def test_models_pass_explores_protocols_and_writes_report(
         self, capsys, tmp_path
@@ -265,8 +271,6 @@ class TestCheckCommand:
                 "sharding",
                 "--skip",
                 "trace",
-                "--skip",
-                "races",
             ]
         ) == 0
         out = capsys.readouterr().out
@@ -297,8 +301,6 @@ class TestCheckCommand:
                 "sharding",
                 "--skip",
                 "trace",
-                "--skip",
-                "races",
             ]
         )
         capsys.readouterr()
@@ -322,8 +324,6 @@ class TestCheckCommand:
                 "sharding",
                 "--skip",
                 "trace",
-                "--skip",
-                "races",
             ]
         ) == 1
         err = capsys.readouterr().err

@@ -541,8 +541,8 @@ class TestMutationSmoke:
     def test_counterexample_replays_into_dynamic_findings(
         self, model, expected
     ):
-        """The minimised schedule is flagged by the RaceDetector or the
-        TraceAuditor when replayed — the static and dynamic passes agree."""
+        """The minimised schedule is flagged by the post-run trace pass
+        when replayed — the static and dynamic passes agree."""
         result = ModelChecker().check_model(model)
         ce = result.by_rule()[expected]
         # the schedule reproduces the violation on a fresh model

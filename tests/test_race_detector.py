@@ -1,22 +1,26 @@
-"""RaceDetector: vector-clock happens-before analysis (RC5xx).
+"""Trace pass: vector-clock happens-before analysis (RC5xx).
 
 A clean functional run must produce zero findings (program order, lineage
 deps, and controller barriers cover every recorded access); a seeded
-unordered conflicting write pair must be flagged.
+unordered conflicting write pair must be flagged.  The live and the Chrome
+trace loaders must agree on every rule both can check.
 """
 
+import dataclasses
 import json
 import pathlib
 
 import pytest
 
-from repro.analysis import RaceDetector
+from repro.analysis import Call, RunRecord, audit_run
 from repro.config import ClusterSpec
 from repro.data import PromptDataset, SyntheticPreferenceTask
 from repro.rlhf.core import AlgoType
+from repro.observability import render_chrome_trace
 from repro.rlhf.trainers import TrainerConfig
 from repro.runtime import build_rlhf_system
 from repro.runtime.presets import TINY_LM, tiny_plan
+from repro.runtime.timeline import Timeline, TimelineEvent
 from repro.single_controller import (
     SingleController,
     Worker,
@@ -33,15 +37,9 @@ from repro.single_controller.protocols import (
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "chrome_trace.json"
 
 
-class _Record:
-    """Minimal ExecutionRecord stand-in for hand-built traces."""
-
-    def __init__(self, seq, pool, deps=()):
-        self.seq = seq
-        self.pool = pool
-        self.deps = tuple(deps)
-        self.group = pool
-        self.method = f"m{seq}"
+def _call(seq, pool, deps=()):
+    """One hand-built dispatched call."""
+    return Call(seq, pool, f"{pool}.m{seq}", tuple(deps))
 
 
 def _tiny_system():
@@ -63,7 +61,7 @@ class TestCleanRuns:
         system = _tiny_system()
         dataset = PromptDataset(32, 4, 16, seed=1)
         system.trainer.train(dataset, 2, 8)
-        report = RaceDetector().detect_system(system)
+        report = audit_run(system)
         assert report.findings == [], "\n".join(report.summary_lines())
         # the pass saw real work: dispatches, merge buffers, device memory
         assert report.checked["calls"] > 0
@@ -88,70 +86,126 @@ class TestCleanRuns:
         system.controller.load_checkpoint(ckpt)
         events = system.controller.access_log.events
         assert any(e.resource == f"checkpoint:{ckpt}" for e in events)
-        report = RaceDetector().detect_system(system)
+        report = audit_run(system)
         assert report.findings == [], "\n".join(report.summary_lines())
         # checkpoint accesses run in controller context -> barrier nodes
         assert report.checked["barriers"] >= 1
 
     def test_golden_chrome_trace_has_no_races(self):
         doc = json.loads(GOLDEN.read_text())
-        report = RaceDetector().detect_chrome_trace(doc)
+        report = audit_run(doc)
         assert report.findings == [], "\n".join(report.summary_lines())
         assert report.checked["calls"] > 0
 
 
 class TestSeededRaces:
     def test_cross_pool_unordered_writes_are_rc501(self):
-        trace = [_Record(0, "a"), _Record(1, "b")]
+        trace = [_call(0, "a"), _call(1, "b")]
         events = [
             AccessEvent("write", "shared", 0, seq=0, after_seq=0),
             AccessEvent("write", "shared", 1, seq=1, after_seq=1),
         ]
-        report = RaceDetector().detect(trace, events)
+        report = audit_run(RunRecord(calls=trace, events=events))
         assert [f.rule for f in report.findings] == ["RC501"]
         assert "shared" in report.findings[0].location
 
     def test_lineage_dep_orders_the_writes(self):
-        trace = [_Record(0, "a"), _Record(1, "b", deps=[0])]
+        trace = [_call(0, "a"), _call(1, "b", deps=[0])]
         events = [
             AccessEvent("write", "shared", 0, seq=0, after_seq=0),
             AccessEvent("write", "shared", 1, seq=1, after_seq=1),
         ]
-        report = RaceDetector().detect(trace, events)
+        report = audit_run(RunRecord(calls=trace, events=events))
         assert report.findings == []
 
     def test_controller_barrier_orders_the_writes(self):
-        trace = [_Record(0, "a"), _Record(1, "b")]
+        trace = [_call(0, "a"), _call(1, "b")]
         events = [
             AccessEvent("write", "shared", 0, seq=0, after_seq=0),
             AccessEvent("write", "shared", 1, seq=1, after_seq=1),
             # controller-context access between the dispatches joins both pools
             AccessEvent("read", "other", -1, seq=None, after_seq=1),
         ]
-        report = RaceDetector().detect(trace, events)
+        report = audit_run(RunRecord(calls=trace, events=events))
         assert report.findings == []
 
     def test_reads_alone_do_not_race(self):
-        trace = [_Record(0, "a"), _Record(1, "b")]
+        trace = [_call(0, "a"), _call(1, "b")]
         events = [
             AccessEvent("read", "shared", 0, seq=0, after_seq=0),
             AccessEvent("read", "shared", 1, seq=1, after_seq=1),
         ]
-        report = RaceDetector().detect(trace, events)
+        report = audit_run(RunRecord(calls=trace, events=events))
         assert report.findings == []
 
     def test_dangling_access_is_rc503(self):
-        trace = [_Record(0, "a")]
+        trace = [_call(0, "a")]
         events = [AccessEvent("write", "x", 0, seq=99, after_seq=0)]
-        report = RaceDetector().detect(trace, events)
+        report = audit_run(RunRecord(calls=trace, events=events))
         assert [f.rule for f in report.findings] == ["RC503"]
 
     def test_cross_controller_deps_are_skipped_silently(self):
         # lineage from another controller's trace: seq 40 does not exist here
-        trace = [_Record(0, "a"), _Record(1, "a", deps=[40])]
-        report = RaceDetector().detect(trace, ())
+        trace = [_call(0, "a"), _call(1, "a", deps=[40])]
+        report = audit_run(RunRecord(calls=trace))
         assert report.findings == []
         assert report.checked["skipped_deps"] == 1
+
+
+class TestLoadersAgree:
+    """A live run's record and its exported Chrome trace give the same
+    findings on the rules both carry: TA201, TA202, and dependency
+    resolution (RC5xx with no access log)."""
+
+    @pytest.fixture(scope="class")
+    def live(self):
+        system = _tiny_system()
+        system.trainer.train(PromptDataset(32, 4, 16, seed=1), 2, 8)
+        record = RunRecord.from_system(system)
+        # an exported trace carries no access log and no ledgers
+        return RunRecord(calls=record.calls, spans=record.spans)
+
+    @staticmethod
+    def _agreed_report(record):
+        timeline = Timeline(
+            [
+                TimelineEvent(c.seq, c.name, c.pool, c.start, c.end)
+                for c in record.calls
+            ]
+        )
+        doc = json.loads(
+            render_chrome_trace(timeline=timeline, spans=record.spans)
+        )
+        live, exported = audit_run(record), audit_run(doc)
+        assert exported.findings == live.findings
+        assert exported.checked == live.checked
+        return live
+
+    def test_clean_run(self, live):
+        report = self._agreed_report(live)
+        assert report.findings == []
+        assert report.checked["calls"] == len(live.calls)
+
+    def test_injected_pool_overlap(self, live):
+        calls = list(live.calls)
+        first, second = [
+            i for i, c in enumerate(calls) if c.pool == calls[0].pool
+        ][:2]
+        # the pool's second call starts before its first one ends
+        calls[second] = dataclasses.replace(
+            calls[second], start=calls[first].end - 0.5
+        )
+        report = self._agreed_report(dataclasses.replace(live, calls=calls))
+        assert [f.rule for f in report.findings] == ["TA201"]
+
+    def test_child_span_escaping_its_parent(self, live):
+        spans = list(live.spans)
+        by_id = {s.span_id: s for s in spans}
+        i = next(i for i, s in enumerate(spans) if s.parent_id in by_id)
+        parent = by_id[spans[i].parent_id]
+        spans[i] = dataclasses.replace(spans[i], end=parent.end + 1.0)
+        report = self._agreed_report(dataclasses.replace(live, spans=spans))
+        assert [f.rule for f in report.findings] == ["TA202"]
 
 
 class _UnorderedWorker(Worker):
@@ -181,7 +235,7 @@ class TestMergeHazard:
             _UnorderedWorker, pool, controller=controller, name="g"
         )
         group.produce()
-        report = RaceDetector().detect_system(system=controller)
+        report = audit_run(controller)
         assert [f.rule for f in report.findings] == ["RC502"]
         finding = report.findings[0]
         assert finding.location == "merge[g.produce]"
@@ -200,6 +254,6 @@ class TestMergeHazard:
             OrderedWorker, pool, controller=controller, name="g"
         )
         group.produce()
-        report = RaceDetector().detect_system(system=controller)
+        report = audit_run(controller)
         assert report.findings == []
         assert report.checked["merge_checks"] >= 1
