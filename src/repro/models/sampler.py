@@ -116,6 +116,17 @@ def sample_tokens_batch(
     return _inverse_cdf_sample(probs, uniforms)
 
 
+def sampled_log_probs(logits: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """Log-prob of ``tokens[i]`` under row ``i`` of ``logits`` ``(batch, vocab)``.
+
+    The untempered log-softmax: what the actor records as the sampled
+    token's old log-prob.
+    """
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return logp[np.arange(logits.shape[0]), tokens]
+
+
 @dataclasses.dataclass
 class GenerationOutput:
     """Result of one generation pass.
@@ -198,7 +209,9 @@ def generate(
         rng = np.random.default_rng(0)
 
     batch, prompt_len = prompts.shape
-    cache = KVCache(model.config.n_layers)
+    # the last sampled token is never fed back, so the cache holds at most
+    # prompt_len + max_new_tokens - 1 positions
+    cache = KVCache(model.config.n_layers, capacity=prompt_len + max_new_tokens - 1)
     sequences = prompts.copy()
     log_probs = np.zeros((batch, max_new_tokens), dtype=np.float64)
     mask = np.ones((batch, max_new_tokens))
@@ -212,9 +225,7 @@ def generate(
             next_tokens = sample_tokens(
                 step_logits, rng, temperature=temperature, greedy=greedy
             )
-            shifted = step_logits - step_logits.max(axis=-1, keepdims=True)
-            logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-            step_logp = logp[np.arange(batch), next_tokens]
+            step_logp = sampled_log_probs(step_logits, next_tokens)
             if eos_token_id is not None:
                 next_tokens = np.where(alive, next_tokens, pad)
                 step_logp = np.where(alive, step_logp, 0.0)

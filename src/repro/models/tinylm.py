@@ -11,7 +11,7 @@ for actor/reference) or a scalar head (``"scalar"``, for critic/reward/cost —
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,60 +67,116 @@ def _rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
 class KVCache:
     """Per-layer cached keys/values for incremental generation.
 
-    Arrays have shape ``(batch, n_heads, seq, head_dim)`` and grow along the
-    sequence axis as tokens are appended — the same layout vLLM pages manage
-    on real hardware.
+    Each layer keeps one K and one V buffer of shape ``(batch, n_heads,
+    capacity, head_dim)`` — the same layout vLLM pages manage on real
+    hardware.  The buffers are allocated on a layer's first append, at
+    ``capacity`` positions when given (the most a sequence will ever cache),
+    and every later append writes in place after the cached positions.
+    Without a capacity, or past it, an append reallocates to fit.
     """
 
-    def __init__(self, n_layers: int) -> None:
-        self.keys: List[Optional[np.ndarray]] = [None] * n_layers
-        self.values: List[Optional[np.ndarray]] = [None] * n_layers
+    def __init__(self, n_layers: int, capacity: Optional[int] = None) -> None:
+        self.capacity = capacity
+        self._keys: List[Optional[np.ndarray]] = [None] * n_layers
+        self._values: List[Optional[np.ndarray]] = [None] * n_layers
+        self._lens: List[int] = [0] * n_layers
 
     def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if self.keys[layer] is None:
-            self.keys[layer] = k
-            self.values[layer] = v
-        else:
-            self.keys[layer] = np.concatenate([self.keys[layer], k], axis=2)
-            self.values[layer] = np.concatenate([self.values[layer], v], axis=2)
-        return self.keys[layer], self.values[layer]
+        """Cache ``k``/``v`` after the layer's cached positions.
+
+        Returns views of the layer's whole cached K and V, new positions
+        included.
+        """
+        start = self._lens[layer]
+        end = start + k.shape[2]
+        buf = self._keys[layer]
+        if buf is None or end > buf.shape[2]:
+            shape = k.shape[:2] + (max(end, self.capacity or 0),) + k.shape[3:]
+            keys = np.empty(shape, dtype=k.dtype)
+            values = np.empty(shape, dtype=v.dtype)
+            if buf is not None:
+                keys[:, :, :start] = buf[:, :, :start]
+                values[:, :, :start] = self._values[layer][:, :, :start]
+            self._keys[layer], self._values[layer] = keys, values
+        self._keys[layer][:, :, start:end] = k
+        self._values[layer][:, :, start:end] = v
+        self._lens[layer] = end
+        return self._keys[layer][:, :, :end], self._values[layer][:, :, :end]
+
+    @property
+    def keys(self) -> List[Optional[np.ndarray]]:
+        """Cached keys per layer ``(batch, n_heads, seq, head_dim)``, copied.
+
+        Copies, because later appends write the buffers in place.
+        """
+        return self._cached(self._keys)
+
+    @property
+    def values(self) -> List[Optional[np.ndarray]]:
+        """Cached values per layer, copied like :attr:`keys`."""
+        return self._cached(self._values)
+
+    def _cached(self, buffers: List[Optional[np.ndarray]]) -> List[Optional[np.ndarray]]:
+        return [
+            None if buf is None else buf[:, :, :n].copy()
+            for buf, n in zip(buffers, self._lens)
+        ]
 
     @property
     def seq_len(self) -> int:
-        return 0 if self.keys[0] is None else self.keys[0].shape[2]
+        return self._lens[0]
 
     def trim(self, seq_len: int) -> None:
-        """Drop cached entries beyond position ``seq_len`` in every layer.
+        """Forget cached entries beyond position ``seq_len`` in every layer.
 
-        Copies the kept prefix so the tail's memory is actually released
-        (a plain slice would keep the full buffer alive through its base).
-        Used by preempt-and-recompute serving to roll a sequence back.
+        A length reset: the buffers stay allocated and the next append
+        overwrites the forgotten positions.  Trimming past the end is a
+        no-op.
         """
         if seq_len < 0:
             raise ValueError(f"seq_len must be >= 0, got {seq_len}")
-        if seq_len == 0:
-            self.free()
-            return
-        for layer, (k, v) in enumerate(zip(self.keys, self.values)):
-            if k is not None and k.shape[2] > seq_len:
-                self.keys[layer] = k[:, :, :seq_len].copy()
-                self.values[layer] = v[:, :, :seq_len].copy()
+        self._lens = [min(n, seq_len) for n in self._lens]
 
     def free(self) -> None:
-        """Release every cached tensor (sequence finished or was preempted)."""
-        for layer in range(len(self.keys)):
-            self.keys[layer] = None
-            self.values[layer] = None
+        """Release every buffer (sequence finished or was preempted)."""
+        for layer in range(len(self._keys)):
+            self._keys[layer] = None
+            self._values[layer] = None
+            self._lens[layer] = 0
 
     def nbytes_by_layer(self) -> List[int]:
-        """Per-layer K+V byte totals — the granularity a block manager meters."""
+        """Per-layer K+V bytes of the cached positions (never the capacity)."""
         return [
-            (k.nbytes + v.nbytes) if k is not None else 0
-            for k, v in zip(self.keys, self.values)
+            0 if k is None else k[:, :, :n].nbytes + v[:, :, :n].nbytes
+            for k, v, n in zip(self._keys, self._values, self._lens)
         ]
 
     def nbytes(self) -> int:
         return sum(self.nbytes_by_layer())
+
+
+def _append_rows(
+    caches: Sequence[KVCache], layer: int, k: np.ndarray, v: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Ragged :meth:`KVCache.append`: row ``i`` goes to ``caches[i]``.
+
+    Each row is written at its own cache's position, then every row's
+    cached K/V is gathered into one zero-padded ``(batch, n_heads, width,
+    head_dim)`` batch, ``width`` being the longest row.  The batch lives
+    for one layer's attention only.
+    """
+    rows = [
+        cache.append(layer, k[i : i + 1], v[i : i + 1])
+        for i, cache in enumerate(caches)
+    ]
+    width = max(row_k.shape[2] for row_k, _row_v in rows)
+    shape = (len(rows), k.shape[1], width, k.shape[3])
+    keys = np.zeros(shape, dtype=k.dtype)
+    values = np.zeros(shape, dtype=v.dtype)
+    for i, (row_k, row_v) in enumerate(rows):
+        keys[i, :, : row_k.shape[2]] = row_k[0]
+        values[i, :, : row_v.shape[2]] = row_v[0]
+    return keys, values
 
 
 class TinyLM:
@@ -224,8 +280,8 @@ class TinyLM:
         self,
         x: Tensor,
         layer: int,
-        cache: Optional[KVCache],
-        pos_offset: int,
+        cache: Union[KVCache, Sequence[KVCache], None],
+        positions: np.ndarray,
     ) -> Tensor:
         cfg = self.config
         b, t, h = x.shape
@@ -241,16 +297,21 @@ class TinyLM:
         v = split_heads(x @ p[f"{prefix}.wv"])
 
         if cache is not None:
-            k_data, v_data = cache.append(layer, k.data, v.data)
+            if isinstance(cache, KVCache):
+                k_data, v_data = cache.append(layer, k.data, v.data)
+            else:
+                k_data, v_data = _append_rows(cache, layer, k.data, v.data)
             k = Tensor(k_data)
             v = Tensor(v_data)
         kv_len = k.shape[2]
 
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(hd))
-        # causal mask: query position (pos_offset + i) attends to kv <= it
-        q_pos = pos_offset + np.arange(t)[:, None]
-        kv_pos = np.arange(kv_len)[None, :]
-        mask = kv_pos > q_pos  # True = masked out
+        # causal mask on absolute positions: key j is visible to a query at
+        # position p iff j <= p — the same rule hides a ragged batch's
+        # padding, which sits past every real key of its row
+        mask = np.arange(kv_len) > positions[..., None]  # True = masked out
+        if positions.ndim == 2:
+            mask = mask[:, None]  # per-row positions: broadcast over heads
         scores = scores + Tensor(np.where(mask, -1e9, 0.0))
         attn = ag.softmax(scores, axis=-1)
         out = attn @ v  # (b, nh, t, hd)
@@ -267,20 +328,34 @@ class TinyLM:
     def _trunk(
         self,
         token_ids: np.ndarray,
-        cache: Optional[KVCache] = None,
-        pos_offset: int = 0,
+        cache: Union[KVCache, Sequence[KVCache], None] = None,
+        pos_offset: Union[int, np.ndarray] = 0,
     ) -> Tensor:
         cfg = self.config
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 2:
             raise ValueError(f"token_ids must be (batch, seq), got {token_ids.shape}")
-        t = token_ids.shape[1]
-        if pos_offset + t > cfg.max_seq_len:
+        b, t = token_ids.shape
+        offsets = np.asarray(pos_offset, dtype=np.int64)
+        if offsets.ndim == 0:
+            positions = np.arange(int(offsets), int(offsets) + t)
+        else:
+            if (
+                offsets.shape != (b,)
+                or cache is None
+                or isinstance(cache, KVCache)
+                or [c.seq_len for c in cache] != offsets.tolist()
+            ):
+                raise ValueError(
+                    "per-row pos_offset needs one KVCache per row, each "
+                    "holding exactly that row's offset in positions"
+                )
+            positions = offsets[:, None] + np.arange(t)
+        if int(offsets.max()) + t > cfg.max_seq_len:
             raise ValueError(
-                f"sequence length {pos_offset + t} exceeds max_seq_len "
+                f"sequence length {int(offsets.max()) + t} exceeds max_seq_len "
                 f"{cfg.max_seq_len}"
             )
-        positions = np.arange(pos_offset, pos_offset + t)
         x = ag.embedding(self.params["embed.weight"], token_ids) + ag.embedding(
             self.params["pos_embed.weight"], positions
         )
@@ -288,7 +363,7 @@ class TinyLM:
             normed = _rms_norm(
                 x, self.params[f"layers.{layer}.attn_norm.weight"], cfg.rms_eps
             )
-            x = x + self._attention(normed, layer, cache, pos_offset)
+            x = x + self._attention(normed, layer, cache, positions)
             normed = _rms_norm(
                 x, self.params[f"layers.{layer}.mlp_norm.weight"], cfg.rms_eps
             )
@@ -298,10 +373,16 @@ class TinyLM:
     def forward(
         self,
         token_ids: np.ndarray,
-        cache: Optional[KVCache] = None,
-        pos_offset: int = 0,
+        cache: Union[KVCache, Sequence[KVCache], None] = None,
+        pos_offset: Union[int, np.ndarray] = 0,
     ) -> Tensor:
-        """Logits ``(batch, seq, vocab)`` or values ``(batch, seq)``."""
+        """Logits ``(batch, seq, vocab)`` or values ``(batch, seq)``.
+
+        ``pos_offset`` is the position of the first token: one int for the
+        whole batch, or one per row together with one :class:`KVCache` per
+        row in ``cache`` — the ragged decode of rows whose caches hold
+        different lengths.
+        """
         x = self._trunk(token_ids, cache=cache, pos_offset=pos_offset)
         if self.config.output_head == "lm":
             return x @ self.params["lm_head.weight"]

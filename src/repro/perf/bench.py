@@ -199,8 +199,7 @@ def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         return server.drain()
 
     # equal prompt lengths, no EOS: every step's runners share one KV
-    # length, so the batched path runs one forward per step instead of one
-    # per slot — the best case the cohort grouping is designed to hit
+    # length, so the batched forward carries no padding at all
     batched_wall = _time_best(lambda: drain(batched=True))
     per_slot_wall = _time_best(lambda: drain(batched=False))
     report = drain(batched=True)
@@ -221,6 +220,89 @@ def bench_serving_drain() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         ),
         "decode_speedup": _metric(
             "min", per_slot_wall / max(batched_wall, 1e-9), floor=1.1
+        ),
+    }
+    return pins, metrics
+
+
+def bench_serving_drain_ragged() -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """Production-shaped drain: ragged prompts, one decode forward per step.
+
+    Hundreds of requests with prompts of different lengths keep the slots'
+    KV lengths ragged on every step, so the batched engine's one forward
+    spans padded rows.  Greedy output must equal the per-slot oracle token
+    for token; the log-prob gap the padding's reordered sums leave is
+    recorded, not compared.
+    """
+    from repro.models.tinylm import TinyLM, TinyLMConfig
+    from repro.serving import RolloutServer, ServingConfig
+
+    pins = {
+        "n_layers": 2,
+        "hidden_size": 32,
+        "n_heads": 4,
+        "ffn_hidden_size": 48,
+        "vocab_size": 32,
+        "max_seq_len": 64,
+        "n_requests": 256,
+        "min_prompt_length": 2,
+        "max_prompt_length": 11,
+        "max_new_tokens": 16,
+        "max_slots": 64,
+        "seed": 0,
+    }
+    cfg = TinyLMConfig(
+        n_layers=pins["n_layers"],
+        hidden_size=pins["hidden_size"],
+        n_heads=pins["n_heads"],
+        ffn_hidden_size=pins["ffn_hidden_size"],
+        vocab_size=pins["vocab_size"],
+        max_seq_len=pins["max_seq_len"],
+    )
+    model = TinyLM(cfg, seed=pins["seed"])
+    prompt_rng = np.random.default_rng(pins["seed"])
+    lengths = prompt_rng.integers(
+        pins["min_prompt_length"],
+        pins["max_prompt_length"] + 1,
+        size=pins["n_requests"],
+    )
+    prompts = [prompt_rng.integers(0, cfg.vocab_size, size=n) for n in lengths]
+
+    def drain(batched: bool):
+        server = RolloutServer(
+            model,
+            ServingConfig(
+                max_slots=pins["max_slots"],
+                seed=pins["seed"],
+                greedy=True,
+                batched_decode=batched,
+            ),
+        )
+        for prompt in prompts:
+            server.submit(prompt, max_new_tokens=pins["max_new_tokens"])
+        return server.drain()
+
+    batched_wall = _time_best(lambda: drain(batched=True), repeats=2)
+    per_slot_wall = _time_best(lambda: drain(batched=False), repeats=2)
+    report = drain(batched=True)
+    baseline = drain(batched=False)
+    pairs = list(zip(report.completed, baseline.completed))
+    outputs_equal = all(np.array_equal(a.response, b.response) for a, b in pairs)
+    max_logp_gap = max(
+        float(np.abs(a.log_probs - b.log_probs).max()) for a, b in pairs
+    )
+
+    metrics = {
+        "n_steps": _metric("exact", report.n_steps),
+        "total_tokens": _metric("exact", report.total_tokens),
+        "greedy_equals_per_slot": _metric("exact", outputs_equal),
+        "max_abs_logp_gap": _metric("info", max_logp_gap),
+        "wall_seconds": _metric("wall", batched_wall),
+        "tokens_per_second": _metric(
+            "info", report.total_tokens / max(batched_wall, 1e-9)
+        ),
+        "decode_speedup": _metric(
+            "min", per_slot_wall / max(batched_wall, 1e-9), floor=2.0
         ),
     }
     return pins, metrics
@@ -456,6 +538,7 @@ def bench_shape_check() -> Tuple[Dict[str, Any], Dict[str, Any]]:
 WORKLOADS: Dict[str, Callable[[], Tuple[Dict[str, Any], Dict[str, Any]]]] = {
     "sequential_generate": bench_sequential_generate,
     "serving_drain": bench_serving_drain,
+    "serving_drain_ragged": bench_serving_drain_ragged,
     "ppo_iteration": bench_ppo_iteration,
     "train_gen_transition": bench_train_gen_transition,
     "async_ppo_overlap": bench_async_ppo_overlap,

@@ -13,8 +13,10 @@ pool of block ids, per-request block tables, reserve/release, and a charge
 against a :class:`repro.cluster.SimDevice` memory ledger under a named tag —
 so block exhaustion and simulated-device OOM are the same budget viewed at
 two granularities.  The token payloads themselves live in each request's
-:class:`repro.models.tinylm.KVCache` (dense per-sequence arrays); the block
-manager decides *whether they may exist*, which is all the scheduler needs.
+:class:`repro.models.tinylm.KVCache` (one dense buffer per layer, allocated
+at the request's capacity and written in place; the one-forward decode
+gathers the running rows into a padded batch per layer); the block manager
+decides *whether they may exist*, which is all the scheduler needs.
 """
 
 from __future__ import annotations

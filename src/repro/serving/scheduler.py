@@ -11,7 +11,8 @@ plus the two policies a real rollout server needs on top:
   makes the rank of a waiting request grow without bound, so a low-priority
   request can be overtaken only finitely often: no starvation.
 * **Preempt-and-recompute** — when the block pool cannot cover a running
-  sequence's next token, the lowest-ranked *other* runner is evicted: its
+  sequence's next token, the lowest-ranked runner is evicted (the
+  requester itself when it ranks last): its
   blocks return to the pool, its dense KV cache is freed
   (:meth:`repro.models.tinylm.KVCache.free`), and it re-queues keeping its
   sampled tokens.  On re-admission a single prefill over ``prompt +
@@ -27,9 +28,9 @@ exactly the failure mode the aging term exists to rule out.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.serving.paged_kv import BlockExhausted, PagedKVCache
+from repro.serving.paged_kv import PagedKVCache
 from repro.serving.request import Request, RequestState
 
 
@@ -105,30 +106,23 @@ class ContinuousBatchScheduler:
 
     # -- block pressure --------------------------------------------------------------
 
-    def ensure_decode_blocks(self, req: Request) -> None:
+    def ensure_decode_blocks(self, req: Request) -> bool:
         """Reserve KV space for ``req``'s next token, evicting if needed.
 
-        Victims are the worst-ranked *other* runners; ``req`` itself is
-        never evicted (the server validates at submit time that any single
-        request fits the whole pool, so the loop terminates).
+        Victims are the worst-ranked runners, so a victim never outranks
+        ``req``: when ``req`` itself ranks last it gives up its own slot.
+        Returns whether ``req`` still runs.  A lone runner always fits (the
+        server validates at submit time that any single request fits the
+        whole pool, and only runners hold blocks), so the loop terminates.
         """
         target = req.kv_len + 1
         while not self.kv.can_reserve(req.request_id, target):
-            victim = self._pick_victim(exclude=req)
-            if victim is None:
-                raise BlockExhausted(
-                    self.kv.blocks_needed(target),
-                    self.kv.blocks_free,
-                    self.kv.n_blocks,
-                )
+            victim = max(self.running, key=self.rank_key)
             self.preempt(victim)
+            if victim is req:
+                return False
         self.kv.reserve(req.request_id, target)
-
-    def _pick_victim(self, exclude: Request) -> Optional[Request]:
-        candidates = [r for r in self.running if r is not exclude]
-        if not candidates:
-            return None
-        return max(candidates, key=self.rank_key)
+        return True
 
     def preempt(self, victim: Request) -> None:
         """Evict a runner: blocks back to the pool, KV dropped, re-queued."""

@@ -8,11 +8,16 @@ the same step accounting as the analytical model in
 :mod:`repro.perf.continuous_batching`, so the two can be cross-checked on
 matched workloads.
 
-Per-request decoding is batch-1 prefill + incremental KV decode.  Because
-numpy's row-independent kernels make a sequence's forward identical whether
-it shares a batch or not, greedy serving output is bit-exact with
+Each admission is prefilled by its own forward into a per-request KV cache
+allocated once at the request's capacity; every later step decodes all
+running requests in one forward, each row at its own KV length (the
+attention's causal rule on absolute positions also hides the padding of
+shorter rows).  Per-request rngs make the sampled tokens independent of
+which rows share a forward, so greedy serving output matches
 :func:`repro.models.sampler.generate` row by row — the property the actor's
-serving-backed path relies on (and tests assert).
+serving-backed path relies on (and tests assert).  Log-probs are
+bit-identical while the rows share one length; padding only reorders the
+rounding of attention sums (differential tests bound the gap at 1e-12).
 
 Latency accounting: the simulated clock advances ``step_time`` per decode
 step; TTFT/TPOT/latency and SLO attainment are computed per request from
@@ -28,7 +33,10 @@ import numpy as np
 
 from repro.cluster.device import SimDevice
 from repro.models.autograd import no_grad
-from repro.models.sampler import sample_tokens, sample_tokens_batch
+# ``sample_tokens`` stays a name of this module: instrumentation such as
+# ``perfbench/tracer.py`` wraps both samplers where the engine looks them up
+from repro.models.sampler import sample_tokens  # noqa: F401
+from repro.models.sampler import sample_tokens_batch, sampled_log_probs
 from repro.models.tinylm import KVCache, TinyLM
 from repro.serving.paged_kv import PagedKVCache
 from repro.serving.request import CompletedRequest, Request, RequestState
@@ -58,9 +66,10 @@ class ServingConfig:
     seed: Union[int, Tuple[int, ...]] = 0
     #: Fraction of device free memory the KV pool may claim when deriving.
     memory_fraction: float = 0.9
-    #: Run one forward per equal-kv-length cohort instead of one per slot.
-    #: Bit-exact either way (numpy's kernels are row-independent); False
-    #: forces the per-slot baseline the bench harness measures against.
+    #: Decode every running request in one forward, whatever its kv
+    #: length.  False runs one forward per slot: the oracle the tests and
+    #: the bench harness compare against (same tokens; log-probs within
+    #: 1e-12, bit-identical when all rows share one length).
     batched_decode: bool = True
 
 
@@ -337,11 +346,12 @@ class RolloutServer:
         prefill and sample their first token in the same step), matching the
         step accounting of ``repro.perf.continuous_batching
         .serve_continuous``.  The pass runs in three phases: reserve blocks
-        for every decoding runner (rank order, so preemption victims are
-        strictly later-ranked than the request that evicts them), prefill
-        admissions one by one (their context lengths differ), then decode
-        the surviving runners one forward per equal-kv-length cohort.
-        Per-request rngs make the emitted tokens independent of cohorting.
+        for every decoding runner in rank order (a runner short of blocks
+        evicts the worst-ranked runner, itself when it ranks last, so every
+        victim is strictly later in the pass than its evictor), prefill
+        admissions one forward each, then decode every surviving runner in
+        one forward whatever its KV length.  Per-request rngs make the
+        emitted tokens independent of how rows share forwards.
         Returns the requests that finished this step.
         """
         step_end = self.now + self.config.step_time
@@ -351,35 +361,26 @@ class RolloutServer:
                 f"serving.step[{self._steps}]", category="serving"
             )
         self.scheduler.schedule(self.now)
-        # rank order makes decode deterministic and preemption victims
-        # strictly later in the pass than the request that evicts them
         active = sorted(self.scheduler.running, key=self.scheduler.rank_key)
         finished_now: List[CompletedRequest] = []
-        produced = 0
         with no_grad():
             prefill: List[Request] = []
             decode: List[Request] = []
             for req in active:
                 if req.state is not RequestState.RUNNING:
-                    continue  # preempted earlier in this same pass
+                    continue  # evicted earlier in this same pass
                 if req.cache is None:
                     prefill.append(req)
-                else:
-                    self.scheduler.ensure_decode_blocks(req)
+                elif self.scheduler.ensure_decode_blocks(req):
                     decode.append(req)
-            # a reservation above may have evicted a later-ranked runner
-            prefill = [r for r in prefill if r.state is RequestState.RUNNING]
-            emitted: Dict[int, Tuple[int, float]] = {}
-            for req in prefill:
-                emitted[req.request_id] = self._forward_one(req)
-            for cohort in self._decode_cohorts(decode):
-                for req, token, logp in self._decode_batch(cohort):
-                    emitted[req.request_id] = (token, logp)
-            for req in prefill + decode:
-                token, logp = emitted[req.request_id]
+            logits = [self._prefill(req) for req in prefill]
+            if decode:
+                logits.append(self._decode(decode))
+            emitting = prefill + decode
+            emitted = self._emit(emitting, np.concatenate(logits)) if emitting else []
+            for req, (token, logp) in zip(emitting, emitted):
                 req.generated.append(token)
                 req.log_probs.append(logp)
-                produced += 1
                 if req.first_token_time is None:
                     req.first_token_time = step_end
                 if (
@@ -389,6 +390,7 @@ class RolloutServer:
                     finished_now.append(self._finish(req, step_end, "eos"))
                 elif len(req.generated) >= req.max_new_tokens:
                     finished_now.append(self._finish(req, step_end, "length"))
+        produced = len(emitting)
         self._steps += 1
         self._occupied_slot_steps += produced
         self._tokens += produced
@@ -404,102 +406,66 @@ class RolloutServer:
             )
         return finished_now
 
-    def _forward_one(self, req: Request) -> Tuple[int, float]:
-        """Advance one request by one token (prefill or incremental decode)."""
-        if req.cache is None:
-            # fresh admission or post-preemption recompute: one prefill over
-            # the full context rebuilds the dense KV payload
-            req.cache = KVCache(self.model.config.n_layers)
-            context = req.tokens()
+    def _prefill(self, req: Request) -> np.ndarray:
+        """Cache a fresh admission's whole context; its last-position logits.
+
+        Also the post-preemption recompute: the context is ``prompt +
+        generated``.  The cache is allocated once at every position the
+        request will ever cache (its last token is never fed back).
+        """
+        req.cache = KVCache(
+            self.model.config.n_layers,
+            capacity=req.prompt_length + req.max_new_tokens - 1,
+        )
+        context = req.tokens()
+        logits = self.model.forward(
+            context[None, :], cache=req.cache, pos_offset=0
+        )
+        req.kv_len = int(context.shape[0])
+        return logits.data[:, -1, :]
+
+    def _decode(self, reqs: List[Request]) -> np.ndarray:
+        """Feed each runner its newest token; logits ``(len(reqs), vocab)``.
+
+        Batched, one forward covers every row with its own ``pos_offset``
+        and cache; the per-slot oracle runs one forward per request.
+        """
+        last = np.asarray([[r.generated[-1]] for r in reqs], dtype=np.int64)
+        if self.config.batched_decode:
             logits = self.model.forward(
-                context[None, :], cache=req.cache, pos_offset=0
-            )
-            req.kv_len = int(context.shape[0])
+                last,
+                cache=[r.cache for r in reqs],
+                pos_offset=np.asarray([r.kv_len for r in reqs], dtype=np.int64),
+            ).data
         else:
-            last = req.generated[-1]
-            logits = self.model.forward(
-                np.asarray([[last]], dtype=np.int64),
-                cache=req.cache,
-                pos_offset=req.kv_len,
+            logits = np.concatenate(
+                [
+                    self.model.forward(
+                        last[i : i + 1], cache=r.cache, pos_offset=r.kv_len
+                    ).data
+                    for i, r in enumerate(reqs)
+                ]
             )
-            req.kv_len += 1
-        step_logits = logits.data[:, -1, :]
-        token_arr = sample_tokens(
-            step_logits,
-            req.rng,
-            temperature=self.config.temperature,
-            greedy=self.config.greedy,
-        )
-        token = int(token_arr[0])
-        shifted = step_logits - step_logits.max(axis=-1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        return token, float(logp[0, token])
+        for r in reqs:
+            r.kv_len += 1
+        return logits[:, -1, :]
 
-    def _decode_cohorts(self, decode: List[Request]) -> List[List[Request]]:
-        """Partition decoding runners into equal-kv-length forward cohorts.
+    def _emit(
+        self, reqs: List[Request], logits: np.ndarray
+    ) -> List[Tuple[int, float]]:
+        """Sample each request's next token from its row of ``logits``.
 
-        Rows of one forward must share a ``pos_offset`` (and concatenate
-        without padding), so only requests at the same KV length may share a
-        batch.  With ``batched_decode`` off every request is its own cohort
-        — the historical per-slot baseline.
+        Every row draws one uniform from its request's own rng, so a token
+        does not depend on which rows share the sampling pass.
         """
-        if not self.config.batched_decode:
-            return [[req] for req in decode]
-        groups: Dict[int, List[Request]] = {}
-        for req in decode:
-            groups.setdefault(req.kv_len, []).append(req)
-        return list(groups.values())
-
-    def _decode_batch(
-        self, cohort: List[Request]
-    ) -> List[Tuple[Request, int, float]]:
-        """One incremental forward for a whole equal-kv-length cohort.
-
-        Per-request dense caches are stacked on the batch axis, the model
-        runs once over ``(cohort, 1)`` last tokens, and each request gets
-        its row of the grown cache back as a view.  Sampling draws one
-        scalar uniform from each request's own rng
-        (:func:`sample_tokens_batch`), so tokens are bit-identical to
-        decoding each request alone — cohorting is invisible to output.
-        """
-        if len(cohort) == 1:
-            req = cohort[0]
-            token, logp = self._forward_one(req)
-            return [(req, token, logp)]
-        n_layers = self.model.config.n_layers
-        kv_len = cohort[0].kv_len
-        batched = KVCache(n_layers)
-        for layer in range(n_layers):
-            batched.keys[layer] = np.concatenate(
-                [r.cache.keys[layer] for r in cohort], axis=0
-            )
-            batched.values[layer] = np.concatenate(
-                [r.cache.values[layer] for r in cohort], axis=0
-            )
-        last = np.asarray(
-            [[r.generated[-1]] for r in cohort], dtype=np.int64
-        )
-        logits = self.model.forward(last, cache=batched, pos_offset=kv_len)
-        for i, req in enumerate(cohort):
-            # row views share the cohort's base buffer; every row is live,
-            # so nothing beyond the rows themselves is kept alive
-            for layer in range(n_layers):
-                req.cache.keys[layer] = batched.keys[layer][i : i + 1]
-                req.cache.values[layer] = batched.values[layer][i : i + 1]
-            req.kv_len += 1
-        step_logits = logits.data[:, -1, :]
         tokens = sample_tokens_batch(
-            step_logits,
-            [r.rng for r in cohort],
+            logits,
+            [r.rng for r in reqs],
             temperature=self.config.temperature,
             greedy=self.config.greedy,
         )
-        shifted = step_logits - step_logits.max(axis=-1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        return [
-            (req, int(tok), float(logp[i, int(tok)]))
-            for i, (req, tok) in enumerate(zip(cohort, tokens))
-        ]
+        log_probs = sampled_log_probs(logits, tokens)
+        return list(zip(tokens.tolist(), log_probs.tolist()))
 
     def _finish(
         self, req: Request, at_time: float, reason: str
@@ -540,23 +506,27 @@ class RolloutServer:
     ) -> ServingReport:
         """Step until every submitted request has finished; report.
 
-        ``on_finish`` is invoked once per completed request, in completion
+        Raises ``RuntimeError`` when requests are still pending after
+        ``max_steps`` steps of this drain.  ``on_finish`` is invoked once
+        per completed request, in completion
         order, the moment its decode step finishes — the streamed hand-off
         primitive the async RLHF pipeline builds on: downstream scoring
         (reward / reference log-probs) can start on early finishers while
         later requests are still decoding, instead of waiting for the whole
         batch boundary.
         """
+        steps = 0
         while self.pending:
-            finished = self.step()
-            if on_finish is not None:
-                for done in finished:
-                    on_finish(done)
-            if self._steps > max_steps:
+            if steps == max_steps:
                 raise RuntimeError(
                     f"serving did not drain within {max_steps} steps "
                     f"({self.pending} requests pending)"
                 )
+            finished = self.step()
+            steps += 1
+            if on_finish is not None:
+                for done in finished:
+                    on_finish(done)
         return self.report()
 
     # -- reporting -------------------------------------------------------------------

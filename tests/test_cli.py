@@ -196,6 +196,15 @@ class TestServe:
         assert "preemptions          : 0" not in out
         assert "tokens recomputed" in out
 
+    def test_worst_ranked_runner_short_of_blocks(self, capsys):
+        # block pressure where the last-ranked runner needs a new block:
+        # it must give up its own slot, never evict a runner that already
+        # decoded this step
+        assert main(
+            ["serve", "--requests", "24", "--slots", "8", "--blocks", "12"]
+        ) == 0
+        assert "tokens recomputed" in capsys.readouterr().out
+
     def test_rejects_bad_priority_levels(self, capsys):
         assert main(["serve", "--priority-levels", "0"]) == 2
 

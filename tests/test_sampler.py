@@ -68,6 +68,22 @@ class TestGenerate:
         assert out.prompt_length == 4
         assert out.kv_cache_bytes > 0
 
+    def test_kv_cache_bytes_counts_cached_positions(self, model):
+        # the last sampled token is never fed back: 4 + 5 - 1 positions
+        from repro.serving import kv_bytes_per_token
+
+        out = generate(model, np.zeros((3, 4), dtype=int), max_new_tokens=5)
+        assert out.kv_cache_bytes == 3 * 8 * kv_bytes_per_token(model.config)
+        # identical greedy rows that all emit EOS first exit before any
+        # decode forward: only the 4 prompt positions were cached
+        prompts = np.zeros((3, 4), dtype=int)
+        first = generate(model, prompts, max_new_tokens=1, greedy=True)
+        early = generate(
+            model, prompts, max_new_tokens=5, greedy=True,
+            eos_token_id=int(first.sequences[0, 4]),
+        )
+        assert early.kv_cache_bytes == 3 * 4 * kv_bytes_per_token(model.config)
+
     def test_prompt_preserved(self, model):
         rng = np.random.default_rng(2)
         prompts = rng.integers(0, 13, size=(2, 5))

@@ -2,12 +2,14 @@
 
 Covers the paged block manager's budget accounting, the scheduler's
 priority/aging/preemption policies, the engine's bit-exactness against the
-sequential sampler, and the cross-check against the analytic schedule in
+sequential sampler, the one-forward ragged decode against the per-slot
+oracle, and the cross-check against the analytic schedule in
 ``repro.perf.continuous_batching``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.device import SimDevice
 from repro.config import GpuSpec
@@ -521,12 +523,14 @@ class TestWorkerIntegration:
 
 
 class TestBatchedDecode:
-    """The cohort-batched decode path vs the per-slot historical path.
+    """The one-forward ragged decode vs the per-slot oracle.
 
-    ``batched_decode=True`` groups running requests with equal kv length
-    into one forward per step; numpy's row-independent kernels plus
-    per-request rng streams make the output bit-identical to decoding each
-    slot alone — these tests pin that, including under preemption.
+    ``batched_decode=True`` decodes every running request in one forward,
+    whatever its kv length; per-request rng streams make the tokens
+    identical to decoding each slot alone.  When all rows share one length
+    there is no padding and numpy's row-independent kernels make the
+    log-probs bit-identical too — these tests pin that, including under
+    preemption.
     """
 
     def test_sampled_output_matches_per_slot_decode(self, model):
@@ -591,6 +595,207 @@ class TestBatchedDecode:
         # 4 identical-budget requests decode in lock-step: one cohort
         # forward replaces four per-slot forwards on every decode step.
         assert batched_calls < per_slot_calls
+
+
+#: Log-prob tolerance of the ragged decode against the per-slot oracle.
+#: Padding adds exact zeros to the attention sums, which can only reorder
+#: their rounding; tokens themselves must be identical.
+RAGGED_LOGP_ATOL = 1e-12
+
+#: Module-level, so hypothesis examples share one model.
+_MODEL = TinyLM(CFG, seed=4)
+
+
+@st.composite
+def serving_workloads(draw):
+    """Ragged prompts, budgets, priorities, slots, EOS and block pressure."""
+    n = draw(st.integers(3, 10))
+    lengths = st.lists(st.integers(1, 12), min_size=n, max_size=n)
+    prompt_lengths = draw(lengths)
+    budgets = draw(lengths)
+    block_size = 4
+    longest = max(p + b for p, b in zip(prompt_lengths, budgets))
+    # a pressured pool fits the longest request alone, plus 0-2 blocks
+    n_blocks = draw(
+        st.one_of(
+            st.none(),
+            st.integers(0, 2).map(lambda extra: -(-longest // block_size) + extra),
+        )
+    )
+    return dict(
+        prompt_lengths=prompt_lengths,
+        budgets=budgets,
+        priorities=draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+        config=dict(
+            max_slots=draw(st.integers(1, 6)),
+            block_size=block_size,
+            n_blocks=n_blocks,
+            eos_token_id=draw(st.one_of(st.none(), st.integers(0, CFG.vocab_size - 1))),
+            greedy=draw(st.booleans()),
+            seed=draw(st.integers(0, 2**16)),
+        ),
+        prompt_seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def _serve_both(workload):
+    """Drain ``workload`` batched (checking invariants) and per-slot."""
+    rng = np.random.default_rng(workload["prompt_seed"])
+    prompts = [
+        rng.integers(0, CFG.vocab_size, size=n) for n in workload["prompt_lengths"]
+    ]
+    reports = []
+    for batched in (True, False):
+        server = RolloutServer(
+            _MODEL, ServingConfig(batched_decode=batched, **workload["config"])
+        )
+        for prompt, budget, priority in zip(
+            prompts, workload["budgets"], workload["priorities"]
+        ):
+            server.submit(prompt, max_new_tokens=budget, priority=priority)
+        reports.append(drain_with_invariants(server))
+    return reports
+
+
+class TestRaggedDecodeDifferential:
+    """Property tests: ragged one-forward decode == the per-slot oracle."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(serving_workloads())
+    def test_tokens_identical_log_probs_within_tolerance(self, workload):
+        batched, per_slot = _serve_both(workload)
+        assert batched.n_steps == per_slot.n_steps
+        assert batched.n_preemptions == per_slot.n_preemptions
+        assert len(batched.completed) == len(workload["budgets"])
+        for a, b in zip(batched.completed, per_slot.completed):
+            assert a.request_id == b.request_id
+            assert a.finish_reason == b.finish_reason
+            np.testing.assert_array_equal(a.response, b.response)
+            np.testing.assert_allclose(
+                a.log_probs, b.log_probs, rtol=0, atol=RAGGED_LOGP_ATOL
+            )
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.booleans(),
+        st.one_of(st.none(), st.integers(0, CFG.vocab_size - 1)),
+        st.integers(0, 2**16),
+    )
+    def test_bit_identical_when_rows_share_one_length(
+        self, n, prompt_length, budget, greedy, eos, seed
+    ):
+        # every request admitted at once with one prompt length: each step's
+        # rows share one kv length, so the batch has no padding at all
+        workload = dict(
+            prompt_lengths=[prompt_length] * n,
+            budgets=[budget] * n,
+            priorities=[0] * n,
+            config=dict(
+                max_slots=n, block_size=4, eos_token_id=eos, greedy=greedy,
+                seed=seed,
+            ),
+            prompt_seed=seed,
+        )
+        batched, per_slot = _serve_both(workload)
+        for a, b in zip(batched.completed, per_slot.completed):
+            np.testing.assert_array_equal(a.response, b.response)
+            np.testing.assert_array_equal(a.log_probs, b.log_probs)
+
+    def test_one_decode_forward_per_step_plus_one_per_admission(self, model):
+        rng = np.random.default_rng(12)
+        server = make_server(model, max_slots=4, greedy=False, seed=2)
+        for n, budget in zip(rng.integers(1, 10, size=10), rng.integers(1, 9, size=10)):
+            server.submit(
+                rng.integers(0, CFG.vocab_size, size=int(n)),
+                max_new_tokens=int(budget),
+            )
+        calls = 0
+        original = model.forward
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        model.forward = counting
+        try:
+            while server.pending:
+                calls = 0
+                admitted = server.scheduler.n_admissions
+                tokens = server._tokens
+                server.step()
+                admitted = server.scheduler.n_admissions - admitted
+                decoded = server._tokens - tokens - admitted
+                assert calls == admitted + (decoded > 0)
+        finally:
+            model.forward = original
+        assert server.report().n_preemptions == 0
+
+
+class TestPreemptionOrder:
+    """A runner short of blocks never evicts a better-ranked runner."""
+
+    def test_worst_ranked_requester_gives_up_its_own_slot(self, model):
+        # request 0 (2 prompt tokens) and 1 (4) each hold one 4-token block
+        # of a 2-block pool; at step 2 only request 1 crosses into a second
+        # block, and being the worst-ranked runner it must evict itself
+        server = make_server(model, max_slots=2, n_blocks=2, block_size=4)
+        server.submit(np.arange(2), max_new_tokens=4)
+        server.submit(np.arange(4), max_new_tokens=4)
+        server.step()
+        server.step()
+        running = [r.request_id for r in server.scheduler.running]
+        waiting = [r.request_id for r in server.scheduler.waiting]
+        assert running == [0] and waiting == [1]
+        assert server.scheduler.n_preemptions == 1
+        server.scheduler.check_invariants()
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_pressured_responses_equal_unpressured(self, model, greedy):
+        rng = np.random.default_rng(21)
+        lengths = rng.integers(1, 9, size=12)
+        prompts = [rng.integers(0, CFG.vocab_size, size=int(n)) for n in lengths]
+        budgets = rng.integers(2, 12, size=12)
+        reports = []
+        for n_blocks in (None, 6):
+            server = make_server(
+                model, max_slots=4, greedy=greedy, seed=9, n_blocks=n_blocks
+            )
+            submit_all(server, prompts, budgets)
+            reports.append(drain_with_invariants(server))
+        roomy, tight = reports
+        assert roomy.n_preemptions == 0 < tight.n_preemptions
+        for a, b in zip(roomy.completed, tight.completed):
+            np.testing.assert_array_equal(a.response, b.response)
+            np.testing.assert_allclose(
+                a.log_probs, b.log_probs, rtol=0, atol=RAGGED_LOGP_ATOL
+            )
+
+
+class TestDrainBudget:
+    def _server(self, model, budget=4):
+        server = make_server(model, max_slots=2)
+        server.submit(np.arange(3), max_new_tokens=budget)
+        return server
+
+    def test_drain_finishing_on_its_last_allowed_step_returns(self, model):
+        report = self._server(model).drain(max_steps=4)
+        assert report.n_steps == 4
+
+    def test_budget_stops_after_max_steps(self, model):
+        server = self._server(model)
+        with pytest.raises(RuntimeError, match="within 3 steps"):
+            server.drain(max_steps=3)
+        assert server._steps == 3
+
+    def test_budget_counts_this_drains_steps_only(self, model):
+        server = self._server(model, budget=6)
+        assert server.drain(max_steps=6).n_steps == 6
+        server.submit(np.arange(3), max_new_tokens=6)
+        assert server.drain(max_steps=6).n_steps == 12
 
 
 def _empty_report():

@@ -89,6 +89,80 @@ class TestKVCache:
         # 2 layers * (K + V) * batch 2 * seq 4 * hidden 16 * 8 bytes
         assert cache.nbytes() == 2 * 2 * 2 * 4 * 16 * 8
 
+    def test_capacity_cache_writes_in_place_and_counts_cached_only(
+        self, model, config
+    ):
+        ids = tokens(config, seq=8)
+        with no_grad():
+            grown = KVCache(config.n_layers)
+            sized = KVCache(config.n_layers, capacity=config.max_seq_len)
+            for cache in (grown, sized):
+                model.forward(ids[:, :3], cache=cache)
+            buffer = sized._keys[0]
+            for t in range(3, 8):
+                a = model.forward(ids[:, t : t + 1], cache=grown, pos_offset=t)
+                b = model.forward(ids[:, t : t + 1], cache=sized, pos_offset=t)
+                np.testing.assert_array_equal(a.data, b.data)
+        assert sized._keys[0] is buffer  # no reallocation up to capacity
+        assert buffer.shape[2] == config.max_seq_len
+        # nbytes counts the 8 cached positions, never the 16 of capacity
+        assert sized.nbytes() == grown.nbytes() == 2 * 2 * 2 * 8 * 16 * 8
+        sized.trim(5)
+        assert sized.nbytes() == 2 * 2 * 2 * 5 * 16 * 8
+        assert sized._keys[0] is buffer  # trim is a length reset
+
+    def test_appending_past_capacity_reallocates(self, model, config):
+        ids = tokens(config, seq=6)
+        with no_grad():
+            full = model.forward(ids).data
+            cache = KVCache(config.n_layers, capacity=4)
+            first = model.forward(ids[:, :4], cache=cache).data
+            rest = model.forward(ids[:, 4:], cache=cache, pos_offset=4).data
+        assert cache.seq_len == 6
+        np.testing.assert_allclose(
+            np.concatenate([first, rest], axis=1), full, atol=1e-10
+        )
+
+
+class TestRaggedForward:
+    """One forward over rows whose caches hold different lengths."""
+
+    def test_matches_each_row_alone(self, model, config):
+        lengths = [2, 7, 4, 7]
+        rng = np.random.default_rng(3)
+        rows = [rng.integers(0, config.vocab_size, size=n + 1) for n in lengths]
+        with no_grad():
+            alone, caches = [], []
+            for row in rows:
+                solo = KVCache(config.n_layers)
+                model.forward(row[None, :-1], cache=solo)
+                alone.append(
+                    model.forward(
+                        row[None, -1:], cache=solo, pos_offset=len(row) - 1
+                    ).data[0, -1]
+                )
+                cache = KVCache(config.n_layers, capacity=len(row))
+                model.forward(row[None, :-1], cache=cache)
+                caches.append(cache)
+            ragged = model.forward(
+                np.asarray([[row[-1]] for row in rows], dtype=np.int64),
+                cache=caches,
+                pos_offset=np.asarray(lengths, dtype=np.int64),
+            ).data[:, -1]
+        np.testing.assert_allclose(ragged, np.stack(alone), rtol=0, atol=1e-12)
+        assert [c.seq_len for c in caches] == [n + 1 for n in lengths]
+
+    def test_per_row_offsets_must_match_the_caches(self, model, config):
+        with no_grad():
+            caches = [KVCache(config.n_layers) for _ in range(2)]
+            for cache in caches:
+                model.forward(tokens(config, batch=1, seq=3), cache=cache)
+            last = np.zeros((2, 1), dtype=np.int64)
+            with pytest.raises(ValueError, match="per-row pos_offset"):
+                model.forward(last, cache=caches, pos_offset=np.array([3, 2]))
+            with pytest.raises(ValueError, match="per-row pos_offset"):
+                model.forward(last, cache=None, pos_offset=np.array([3, 3]))
+
 
 class TestLogProbs:
     def test_shape_and_range(self, model, config):
