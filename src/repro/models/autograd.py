@@ -8,6 +8,16 @@ beyond numpy's own, gradients accumulate into ``Tensor.grad``.
 
 Shapes follow numpy broadcasting; ``_unbroadcast`` folds gradient axes back
 to the parameter shape, so biases and scalars work naturally.
+
+The model ops ``linear``, ``silu``, ``softmax``, ``embedding`` and ``mean``
+form a *dual* op set (HIPS autograd's idiom: numpy code stays numpy, only
+boxed values are traced).  Each takes a ``Tensor`` or a plain ndarray.  A
+``Tensor`` runs the autograd op; an ndarray runs the same numpy formula and
+comes back an ndarray, with no ``Tensor`` and no backward closure (only
+``linear`` regroups work: it folds a decode step's rows into one GEMM).  A
+forward written over these ops and ndarray-native ``+ * @ reshape
+transpose swapaxes`` is one function that runs on the tape or tape-free,
+depending only on what its caller passes in.
 """
 
 from __future__ import annotations
@@ -34,6 +44,21 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+def is_grad_enabled() -> bool:
+    """Whether ``Tensor`` ops record the tape (off under ``no_grad``)."""
+    return _GRAD_ENABLED
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=axis, keepdims=True)
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -237,7 +262,7 @@ class Tensor:
         return Tensor._from_op(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
+        out_data = _sigmoid(self.data)
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
@@ -247,7 +272,7 @@ class Tensor:
 
     def silu(self) -> "Tensor":
         """SiLU / swish, the Llama MLP activation: ``x * sigmoid(x)``."""
-        sig = 1.0 / (1.0 + np.exp(-self.data))
+        sig = _sigmoid(self.data)
         out_data = self.data * sig
 
         def backward(g: np.ndarray) -> None:
@@ -446,35 +471,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._from_op(out_data, tuple(tensors), backward)
 
 
-def embedding(table: Tensor, token_ids: np.ndarray) -> Tensor:
-    """Look up rows of ``table`` for integer ``token_ids``."""
-    token_ids = np.asarray(token_ids, dtype=np.int64)
-    out_data = table.data[token_ids]
-
-    def backward(g: np.ndarray) -> None:
-        if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, token_ids, g)
-            table._accumulate(full)
-
-    return Tensor._from_op(out_data, (table,), backward)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable softmax with exact gradient."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=axis, keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            g = np.asarray(g, dtype=np.float64)
-            dot = (g * out_data).sum(axis=axis, keepdims=True)
-            x._accumulate(out_data * (g - dot))
-
-    return Tensor._from_op(out_data, (x,), backward)
-
-
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable log-softmax with exact gradient."""
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
@@ -524,3 +520,97 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(np.where(condition, 0.0, g))
 
     return Tensor._from_op(out_data, (a, b), backward)
+
+
+# -- the dual op set -------------------------------------------------------------
+#
+# Each op below takes a ``Tensor`` or an ndarray (see the module docstring).
+# Both kinds run one shared numpy formula, so the two paths agree bit for
+# bit; the one exception is ``linear``'s folded decode rows.
+
+Operand = Union[np.ndarray, Tensor]
+
+
+def getval(x: Operand) -> np.ndarray:
+    """The array behind ``x``: a ``Tensor``'s data, or ``x`` itself."""
+    return x.data if isinstance(x, Tensor) else x
+
+
+#: Folded decode rows run as a GEMM padded to a multiple of this many rows.
+#: A row's rounding depends on the kernel block it lands in: one row alone
+#: goes to gemv, and short tail blocks of 2-3 rows round differently from
+#: full 4-row blocks on some output widths.  Padded, every row runs in a
+#: full block, so its result does not depend on how many rows share it.
+ROW_BLOCK = 4
+
+
+def linear(x: Operand, weight: Operand) -> Operand:
+    """``x @ weight``, contracting the last axis of ``x``.
+
+    A ``Tensor`` runs ``Tensor.__matmul__`` unchanged, and an ndarray of
+    whole sequences runs the same numpy product, so the two paths agree bit
+    for bit.  A stack of single rows (a decode step, ``(batch, 1,
+    hidden)``), which numpy would run as one gemv per row, is folded into
+    one 2-D GEMM over every row, padded to :data:`ROW_BLOCK` rows: a row
+    decoded in a batch equals the same row decoded alone.
+    """
+    if isinstance(x, Tensor) or isinstance(weight, Tensor):
+        return Tensor._wrap(x) @ weight
+    if x.ndim < 3 or x.shape[-2] != 1:
+        return x @ weight
+    rows = x.reshape(-1, x.shape[-1])
+    n_rows = rows.shape[0]
+    pad = -n_rows % ROW_BLOCK
+    if pad:
+        rows = np.concatenate([rows, np.zeros((pad, rows.shape[1]), dtype=rows.dtype)])
+    return (rows @ weight)[:n_rows].reshape(x.shape[:-1] + weight.shape[-1:])
+
+
+def silu(x: Operand) -> Operand:
+    """SiLU / swish, ``x * sigmoid(x)``."""
+    if isinstance(x, Tensor):
+        return x.silu()
+    return x * _sigmoid(x)
+
+
+def mean(x: Operand, axis: Optional[int] = None, keepdims: bool = False) -> Operand:
+    """``Tensor.mean``'s formula, ``sum * (1 / n)``, for either operand.
+
+    Not ``ndarray.mean``: it rounds differently (by 2.2e-16 at n=96), and
+    both paths must call the same reduction.
+    """
+    if isinstance(x, Tensor):
+        return x.mean(axis=axis, keepdims=keepdims)
+    n = x.size if axis is None else x.shape[axis]
+    return x.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+
+
+def embedding(table: Operand, token_ids: np.ndarray) -> Operand:
+    """Look up rows of ``table`` for integer ``token_ids``."""
+    token_ids = np.asarray(token_ids, dtype=np.int64)
+    if not isinstance(table, Tensor):
+        return table[token_ids]
+    out_data = table.data[token_ids]
+
+    def backward(g: np.ndarray) -> None:
+        if table.requires_grad:
+            full = np.zeros_like(table.data)
+            np.add.at(full, token_ids, g)
+            table._accumulate(full)
+
+    return Tensor._from_op(out_data, (table,), backward)
+
+
+def softmax(x: Operand, axis: int = -1) -> Operand:
+    """Numerically-stable softmax with exact gradient."""
+    if not isinstance(x, Tensor):
+        return _softmax(x, axis)
+    out_data = _softmax(x.data, axis)
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            g = np.asarray(g, dtype=np.float64)
+            dot = (g * out_data).sum(axis=axis, keepdims=True)
+            x._accumulate(out_data * (g - dot))
+
+    return Tensor._from_op(out_data, (x,), backward)

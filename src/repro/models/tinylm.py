@@ -59,8 +59,8 @@ class TinyLMConfig:
         )
 
 
-def _rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
-    variance = (x * x).mean(axis=-1, keepdims=True)
+def _rms_norm(x: ag.Operand, weight: ag.Operand, eps: float) -> ag.Operand:
+    variance = ag.mean(x * x, axis=-1, keepdims=True)
     return x * ((variance + eps) ** -0.5) * weight
 
 
@@ -156,26 +156,27 @@ class KVCache:
 
 
 def _append_rows(
-    caches: Sequence[KVCache], layer: int, k: np.ndarray, v: np.ndarray
+    caches: Sequence[KVCache],
+    layer: int,
+    k: np.ndarray,
+    v: np.ndarray,
+    out: Tuple[np.ndarray, np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Ragged :meth:`KVCache.append`: row ``i`` goes to ``caches[i]``.
 
-    Each row is written at its own cache's position, then every row's
-    cached K/V is gathered into one zero-padded ``(batch, n_heads, width,
-    head_dim)`` batch, ``width`` being the longest row.  The batch lives
-    for one layer's attention only.
+    Each row is written at its own cache's position, then its whole cached
+    K/V is copied into row ``i`` of ``out``, a zero-padded ``(batch,
+    n_heads, width, head_dim)`` K/V pair.  The pair is not per layer: every
+    layer of a ragged forward gathers into the same one, since a row holds
+    the same number of positions in every layer and so never overwrites
+    its own zero padding.
     """
-    rows = [
-        cache.append(layer, k[i : i + 1], v[i : i + 1])
-        for i, cache in enumerate(caches)
-    ]
-    width = max(row_k.shape[2] for row_k, _row_v in rows)
-    shape = (len(rows), k.shape[1], width, k.shape[3])
-    keys = np.zeros(shape, dtype=k.dtype)
-    values = np.zeros(shape, dtype=v.dtype)
-    for i, (row_k, row_v) in enumerate(rows):
-        keys[i, :, : row_k.shape[2]] = row_k[0]
-        values[i, :, : row_v.shape[2]] = row_v[0]
+    keys, values = out
+    for i, cache in enumerate(caches):
+        row_k, row_v = cache.append(layer, k[i : i + 1], v[i : i + 1])
+        n = row_k.shape[2]
+        keys[i, :, :n] = row_k[0]
+        values[i, :, :n] = row_v[0]
     return keys, values
 
 
@@ -275,34 +276,52 @@ class TinyLM:
         return clone
 
     # -- forward ------------------------------------------------------------------
+    #
+    # Written once over the dual op set of ``repro.models.autograd``: given
+    # the parameter Tensors it records the tape, given their arrays it runs
+    # plain numpy with no Tensor at all.  ``forward`` picks one at entry.
+
+    def _weights(self) -> Dict[str, ag.Operand]:
+        """The parameter Tensors when a forward must record the tape.
+
+        Otherwise (grad mode off, or no parameter requires grad) their
+        arrays, so the forward runs tape-free.
+        """
+        if ag.is_grad_enabled() and any(
+            p.requires_grad for p in self.params.values()
+        ):
+            return self.params
+        return {name: p.data for name, p in self.params.items()}
 
     def _attention(
         self,
-        x: Tensor,
+        p: Dict[str, ag.Operand],
+        x: ag.Operand,
         layer: int,
         cache: Union[KVCache, Sequence[KVCache], None],
         positions: np.ndarray,
-    ) -> Tensor:
+        kv_rows: Optional[Tuple[np.ndarray, np.ndarray]],
+    ) -> ag.Operand:
         cfg = self.config
         b, t, h = x.shape
         nh, hd = cfg.n_heads, cfg.head_dim
-        p = self.params
         prefix = f"layers.{layer}.attn"
 
-        def split_heads(proj: Tensor) -> Tensor:
+        def split_heads(proj: ag.Operand) -> ag.Operand:
             return proj.reshape(b, t, nh, hd).transpose(0, 2, 1, 3)
 
-        q = split_heads(x @ p[f"{prefix}.wq"])
-        k = split_heads(x @ p[f"{prefix}.wk"])
-        v = split_heads(x @ p[f"{prefix}.wv"])
+        q = split_heads(ag.linear(x, p[f"{prefix}.wq"]))
+        k = split_heads(ag.linear(x, p[f"{prefix}.wk"]))
+        v = split_heads(ag.linear(x, p[f"{prefix}.wv"]))
 
-        if cache is not None:
-            if isinstance(cache, KVCache):
-                k_data, v_data = cache.append(layer, k.data, v.data)
-            else:
-                k_data, v_data = _append_rows(cache, layer, k.data, v.data)
-            k = Tensor(k_data)
-            v = Tensor(v_data)
+        if isinstance(cache, KVCache):
+            k, v = cache.append(layer, ag.getval(k), ag.getval(v))
+        elif cache is not None:
+            if isinstance(x, Tensor):
+                # the tape keeps each layer's K/V for the backward, so it
+                # never gathers into the pair a later layer overwrites
+                kv_rows = (np.zeros_like(kv_rows[0]), np.zeros_like(kv_rows[1]))
+            k, v = _append_rows(cache, layer, ag.getval(k), ag.getval(v), kv_rows)
         kv_len = k.shape[2]
 
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(hd))
@@ -312,31 +331,40 @@ class TinyLM:
         mask = np.arange(kv_len) > positions[..., None]  # True = masked out
         if positions.ndim == 2:
             mask = mask[:, None]  # per-row positions: broadcast over heads
-        scores = scores + Tensor(np.where(mask, -1e9, 0.0))
+        scores = scores + np.where(mask, -1e9, 0.0)
         attn = ag.softmax(scores, axis=-1)
         out = attn @ v  # (b, nh, t, hd)
         out = out.transpose(0, 2, 1, 3).reshape(b, t, h)
-        return out @ p[f"{prefix}.wo"]
+        return ag.linear(out, p[f"{prefix}.wo"])
 
-    def _mlp(self, x: Tensor, layer: int) -> Tensor:
-        p = self.params
+    def _mlp(self, p: Dict[str, ag.Operand], x: ag.Operand, layer: int) -> ag.Operand:
         prefix = f"layers.{layer}.mlp"
-        gate = (x @ p[f"{prefix}.w_gate"]).silu()
-        up = x @ p[f"{prefix}.w_up"]
-        return (gate * up) @ p[f"{prefix}.w_down"]
+        gate = ag.silu(ag.linear(x, p[f"{prefix}.w_gate"]))
+        up = ag.linear(x, p[f"{prefix}.w_up"])
+        return ag.linear(gate * up, p[f"{prefix}.w_down"])
 
     def _trunk(
         self,
+        p: Dict[str, ag.Operand],
         token_ids: np.ndarray,
-        cache: Union[KVCache, Sequence[KVCache], None] = None,
-        pos_offset: Union[int, np.ndarray] = 0,
-    ) -> Tensor:
+        cache: Union[KVCache, Sequence[KVCache], None],
+        pos_offset: Union[int, np.ndarray],
+    ) -> ag.Operand:
         cfg = self.config
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 2:
             raise ValueError(f"token_ids must be (batch, seq), got {token_ids.shape}")
+        if token_ids.size and (
+            int(token_ids.min()) < 0 or int(token_ids.max()) >= cfg.vocab_size
+        ):
+            raise ValueError(
+                f"token ids must lie in [0, {cfg.vocab_size}), got "
+                f"[{int(token_ids.min())}, {int(token_ids.max())}]"
+            )
         b, t = token_ids.shape
         offsets = np.asarray(pos_offset, dtype=np.int64)
+        if offsets.size and int(offsets.min()) < 0:
+            raise ValueError(f"pos_offset must be >= 0, got {pos_offset}")
         if offsets.ndim == 0:
             positions = np.arange(int(offsets), int(offsets) + t)
         else:
@@ -356,19 +384,23 @@ class TinyLM:
                 f"sequence length {int(offsets.max()) + t} exceeds max_seq_len "
                 f"{cfg.max_seq_len}"
             )
-        x = ag.embedding(self.params["embed.weight"], token_ids) + ag.embedding(
-            self.params["pos_embed.weight"], positions
+        kv_rows = None
+        if cache is not None and not isinstance(cache, KVCache):
+            # one zero-padded K/V pair that every layer gathers its rows into
+            shape = (b, cfg.n_heads, max(c.seq_len for c in cache) + t, cfg.head_dim)
+            kv_rows = (
+                np.zeros(shape, dtype=np.float64),
+                np.zeros(shape, dtype=np.float64),
+            )
+        x = ag.embedding(p["embed.weight"], token_ids) + ag.embedding(
+            p["pos_embed.weight"], positions
         )
         for layer in range(cfg.n_layers):
-            normed = _rms_norm(
-                x, self.params[f"layers.{layer}.attn_norm.weight"], cfg.rms_eps
-            )
-            x = x + self._attention(normed, layer, cache, positions)
-            normed = _rms_norm(
-                x, self.params[f"layers.{layer}.mlp_norm.weight"], cfg.rms_eps
-            )
-            x = x + self._mlp(normed, layer)
-        return _rms_norm(x, self.params["final_norm.weight"], cfg.rms_eps)
+            normed = _rms_norm(x, p[f"layers.{layer}.attn_norm.weight"], cfg.rms_eps)
+            x = x + self._attention(p, normed, layer, cache, positions, kv_rows)
+            normed = _rms_norm(x, p[f"layers.{layer}.mlp_norm.weight"], cfg.rms_eps)
+            x = x + self._mlp(p, normed, layer)
+        return _rms_norm(x, p["final_norm.weight"], cfg.rms_eps)
 
     def forward(
         self,
@@ -382,13 +414,20 @@ class TinyLM:
         whole batch, or one per row together with one :class:`KVCache` per
         row in ``cache`` — the ragged decode of rows whose caches hold
         different lengths.
+
+        Under ``no_grad`` (or with no parameter requiring grad) the forward
+        runs tape-free on the parameters' arrays and only its output is
+        wrapped in a ``Tensor``.  Token ids outside ``[0, vocab)`` and
+        negative offsets raise ``ValueError``.
         """
-        x = self._trunk(token_ids, cache=cache, pos_offset=pos_offset)
+        p = self._weights()
+        x = self._trunk(p, token_ids, cache, pos_offset)
         if self.config.output_head == "lm":
-            return x @ self.params["lm_head.weight"]
-        values = x @ self.params["value_head.weight"]
-        b, t, _one = values.shape
-        return values.reshape(b, t)
+            out = ag.linear(x, p["lm_head.weight"])
+        else:
+            b, t, _h = x.shape
+            out = ag.linear(x, p["value_head.weight"]).reshape(b, t)
+        return out if isinstance(out, Tensor) else Tensor(out)
 
     __call__ = forward
 

@@ -66,6 +66,29 @@ def _time_best(fn: Callable[[], Any], repeats: int = 3) -> float:
     return best
 
 
+def _count_tensors(fn: Callable[[], Any]) -> Tuple[Any, int]:
+    """``fn()`` and the number of autograd ``Tensor`` objects it built.
+
+    Counted through ``Tensor.__init__``, restored on the way out.
+    """
+    from repro.models.autograd import Tensor
+
+    original = Tensor.__init__
+    created = 0
+
+    def counting_init(self: Tensor, *args: Any, **kwargs: Any) -> None:
+        nonlocal created
+        created += 1
+        original(self, *args, **kwargs)
+
+    Tensor.__init__ = counting_init
+    try:
+        result = fn()
+    finally:
+        Tensor.__init__ = original
+    return result, created
+
+
 def _metric(kind: str, value: Any, **extra: Any) -> Dict[str, Any]:
     if kind not in ("exact", "wall", "min", "info"):
         raise ValueError(f"unknown metric kind {kind!r}")
@@ -284,7 +307,7 @@ def bench_serving_drain_ragged() -> Tuple[Dict[str, Any], Dict[str, Any]]:
 
     batched_wall = _time_best(lambda: drain(batched=True), repeats=2)
     per_slot_wall = _time_best(lambda: drain(batched=False), repeats=2)
-    report = drain(batched=True)
+    report, tensors_created = _count_tensors(lambda: drain(batched=True))
     baseline = drain(batched=False)
     pairs = list(zip(report.completed, baseline.completed))
     outputs_equal = all(np.array_equal(a.response, b.response) for a, b in pairs)
@@ -296,6 +319,8 @@ def bench_serving_drain_ragged() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         "n_steps": _metric("exact", report.n_steps),
         "total_tokens": _metric("exact", report.total_tokens),
         "greedy_equals_per_slot": _metric("exact", outputs_equal),
+        # the no-grad forward is tape-free: one output Tensor per forward
+        "tensors_created": _metric("exact", tensors_created),
         "max_abs_logp_gap": _metric("info", max_logp_gap),
         "wall_seconds": _metric("wall", batched_wall),
         "tokens_per_second": _metric(

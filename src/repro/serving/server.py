@@ -298,6 +298,12 @@ class RolloutServer:
         prompt = np.asarray(prompt, dtype=np.int64)
         if prompt.ndim != 1 or prompt.shape[0] < 1:
             raise ValueError(f"prompt must be non-empty 1-D, got {prompt.shape}")
+        vocab = self.model.config.vocab_size
+        if int(prompt.min()) < 0 or int(prompt.max()) >= vocab:
+            raise ValueError(
+                f"prompt token ids must lie in [0, {vocab}), got "
+                f"[{int(prompt.min())}, {int(prompt.max())}]"
+            )
         if max_new_tokens < 1:
             raise ValueError(
                 f"max_new_tokens must be >= 1, got {max_new_tokens}"

@@ -231,6 +231,19 @@ class TestScheduling:
         with pytest.raises(ValueError):
             server.submit(prompt, max_new_tokens=0)
 
+    def test_submit_rejects_token_ids_outside_vocab(self, model):
+        """A negative id would be served silently; one >= vocab would crash
+        the drain mid-step and lose every other request."""
+        server = make_server(model)
+        for bad in ([-1, 2, 3], [1, CFG.vocab_size, 2]):
+            with pytest.raises(ValueError, match="token ids"):
+                server.submit(np.asarray(bad), max_new_tokens=2)
+        assert server.pending == 0
+        server.submit(np.asarray([1, 2, 3]), max_new_tokens=2)
+        report = server.drain()
+        assert [r.request_id for r in report.completed] == [0]
+        assert report.total_tokens == 2
+
 
 class TestBlockBudget:
     def test_blocks_never_exceed_budget_under_pressure(self, model):

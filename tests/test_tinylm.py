@@ -1,12 +1,16 @@
 """Tests for the TinyLM transformer: forward, KV cache, heads, training."""
 
+import contextlib
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.models import tinylm
 from repro.models.adam import Adam
-from repro.models.autograd import no_grad
+from repro.models.autograd import Tensor, no_grad
+from repro.models.sampler import generate
 from repro.models.tinylm import KVCache, TinyLM, TinyLMConfig
 
 
@@ -30,6 +34,19 @@ def model(config):
 def tokens(config, batch=2, seq=6, seed=0):
     rng = np.random.default_rng(seed)
     return rng.integers(0, config.vocab_size, size=(batch, seq))
+
+
+def count_tensors(monkeypatch):
+    """Count ``Tensor`` constructions from here on (as the perf tracer does)."""
+    created = []
+    original = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    return created
 
 
 class TestForward:
@@ -60,6 +77,21 @@ class TestForward:
     def test_token_ids_must_be_2d(self, model):
         with pytest.raises(ValueError):
             model.forward(np.zeros(4, dtype=int))
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_out_of_range_ids_and_offsets_rejected(self, model, config, grad):
+        """Negative ids and offsets would wrap into the last embedding rows."""
+        ids = tokens(config, seq=3)
+        with contextlib.nullcontext() if grad else no_grad():
+            for bad in ([[-1, 3]], [[config.vocab_size, 3]]):
+                with pytest.raises(ValueError, match="token ids"):
+                    model.forward(np.asarray(bad))
+            with pytest.raises(ValueError, match="pos_offset"):
+                model.forward(ids, pos_offset=-2)
+
+    def test_generate_rejects_out_of_range_prompt(self, model):
+        with pytest.raises(ValueError, match="token ids"):
+            generate(model, np.asarray([[-3, 1]]), max_new_tokens=2)
 
     def test_wrong_head_methods_raise(self, model, config):
         with pytest.raises(RuntimeError):
@@ -162,6 +194,109 @@ class TestRaggedForward:
                 model.forward(last, cache=caches, pos_offset=np.array([3, 2]))
             with pytest.raises(ValueError, match="per-row pos_offset"):
                 model.forward(last, cache=None, pos_offset=np.array([3, 3]))
+
+
+class TestTapeFreeForward:
+    """The one forward runs tape-free on parameter arrays under no_grad."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        head=st.sampled_from(["lm", "scalar"]),
+        batch=st.integers(1, 5),
+        seq=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_identical_to_the_tape(self, head, batch, seq, seed):
+        """Bitwise for whole sequences; a decode step (t = 1) folds its
+        rows into one GEMM where the tape runs one gemv per row."""
+        cfg = TinyLMConfig(
+            n_layers=2, hidden_size=16, n_heads=2, ffn_hidden_size=24,
+            vocab_size=11, max_seq_len=16, output_head=head,
+        )
+        model = TinyLM(cfg, seed=seed)
+        # ``seq`` is the forward's length t; token_log_probs drops a token
+        ids = tokens(cfg, batch=batch, seq=seq + 1, seed=seed)
+        calls = [(model.forward, ids[:, :seq])]
+        if head == "lm":
+            calls.append((model.token_log_probs, ids))
+        else:
+            calls.append((model.values, ids[:, :seq]))
+            calls.append((model.sequence_reward, ids[:, :seq]))
+        for fn, arg in calls:
+            tape = fn(arg)
+            assert tape.requires_grad
+            with no_grad():
+                free = fn(arg)
+            assert not free.requires_grad
+            if seq >= 2:
+                np.testing.assert_array_equal(free.data, tape.data)
+            else:
+                np.testing.assert_allclose(free.data, tape.data, rtol=0, atol=1e-12)
+
+    def test_creates_at_most_two_tensors_and_no_graph(
+        self, model, config, monkeypatch
+    ):
+        created = count_tensors(monkeypatch)
+        with no_grad():
+            out = model.forward(tokens(config))
+        assert len(created) <= 2
+        assert out._parents == () and out._backward is None
+
+    def test_frozen_parameters_run_tape_free_with_grad_on(
+        self, model, config, monkeypatch
+    ):
+        for p in model.params.values():
+            p.requires_grad = False
+        created = count_tensors(monkeypatch)
+        out = model.forward(tokens(config))
+        assert len(created) <= 2
+        assert not out.requires_grad
+
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_ragged_forward_gathers_into_one_zero_padded_pair(
+        self, model, config, monkeypatch, grad
+    ):
+        """Tape-free, every layer gathers into one pair; the tape gets one
+        per layer, since its graph keeps each layer's K/V."""
+        rng = np.random.default_rng(5)
+        lengths = [2, 6, 3]
+        caches = []
+        with no_grad():
+            for n in lengths:
+                cache = KVCache(config.n_layers, capacity=config.max_seq_len)
+                model.forward(
+                    rng.integers(0, config.vocab_size, size=(1, n)), cache=cache
+                )
+                caches.append(cache)
+        pairs = []
+        original = tinylm._append_rows
+
+        def spy(caches, layer, k, v, out):
+            keys, values = original(caches, layer, k, v, out)
+            pairs.append((keys, values))
+            for i, n in enumerate(lengths):
+                # row i now caches n + 1 positions; its padding stays zero
+                np.testing.assert_array_equal(keys[i, :, n + 1 :], 0.0)
+                np.testing.assert_array_equal(values[i, :, n + 1 :], 0.0)
+                assert np.abs(keys[i, :, : n + 1]).min() > 0.0
+            return keys, values
+
+        monkeypatch.setattr(tinylm, "_append_rows", spy)
+        created = count_tensors(monkeypatch)
+        with contextlib.nullcontext() if grad else no_grad():
+            model.forward(
+                rng.integers(0, config.vocab_size, size=(3, 1)),
+                cache=caches,
+                pos_offset=np.asarray(lengths),
+            )
+        assert len(pairs) == config.n_layers
+        assert pairs[0][0].shape == (3, config.n_heads, 7, config.head_dim)
+        distinct = {(id(keys), id(values)) for keys, values in pairs}
+        if grad:
+            assert len(distinct) == config.n_layers
+        else:
+            assert len(distinct) == 1
+            assert len(created) <= 2
 
 
 class TestLogProbs:
