@@ -19,9 +19,9 @@ Rules:
 ``DF105``  placement plan structure (missing roles, missing gen config)
 ``DF106``  plan assigns a model role the algorithm's dataflow never calls
 ``DF107``  GRPO group sampling misconfigured (``group_size < 2``)
-``DF108``  async pipeline staleness misconfigured (stale batches without
-           importance weighting, window exceeding buffer capacity, clip or
-           algorithm the off-policy correction cannot support)
+``DF108``  async pipeline misconfigured (negative staleness window, an
+           algorithm the off-policy correction cannot support, an actor the
+           weight publisher cannot serve)
 ========  ====================================================================
 """
 
@@ -267,14 +267,7 @@ class DataflowChecker:
         The bounded-staleness loop (:mod:`repro.pipeline`) is sound only
         under specific conditions; each violation is a ``DF108`` finding:
 
-        * ``staleness_window > 0`` with importance weighting disabled —
-          stale batches would be trained as if on-policy, silently biasing
-          the PPO/GRPO surrogate;
-        * a window the experience buffer cannot hold (``window + 1``
-          in-flight batches exceed capacity) — the rollout engine would
-          dead-end on :class:`~repro.pipeline.buffer.BufferFull`;
-        * ``iw_clip < 1`` — truncation below 1 scales even on-policy
-          tokens, breaking the ``staleness=0 ⇒ weight ≡ 1`` invariant;
+        * a negative ``staleness_window``;
         * an algorithm without an off-policy correction path;
         * ``recompute_log_probs=False`` with a positive window (warning) —
           the anchor collapses onto the behaviour policy and every
@@ -300,35 +293,6 @@ class DataflowChecker:
                 hint="0 = synchronous loop, 1 = one-step-off overlap",
             )
             return report
-        if window > 0 and not pipeline_config.importance_weighting:
-            report.add(
-                "DF108",
-                ERROR,
-                f"staleness_window={window} with importance weighting "
-                "disabled: stale batches would be trained as if on-policy",
-                location=location,
-                hint="enable importance_weighting or set staleness_window=0",
-            )
-        capacity = pipeline_config.resolved_capacity
-        if window + 1 > capacity:
-            report.add(
-                "DF108",
-                ERROR,
-                f"staleness_window={window} needs {window + 1} in-flight "
-                f"batches but the experience buffer holds {capacity}",
-                location=location,
-                hint="raise buffer_capacity to at least staleness_window + 1",
-            )
-        if pipeline_config.iw_clip < 1.0:
-            report.add(
-                "DF108",
-                ERROR,
-                f"iw_clip={pipeline_config.iw_clip} < 1 would down-scale "
-                "on-policy tokens; truncation must keep ratio 1 intact",
-                location=location,
-                hint="set iw_clip >= 1 (V-trace uses 1.0; 2.0 is a safe "
-                "default)",
-            )
         if algo is not None:
             from repro.rlhf.core import AlgoType
 

@@ -614,10 +614,10 @@ class ShapeFlowChecker:
     ) -> AnalysisReport:
         """Shape-check the async one-step-off loop's version-tagged buffers.
 
-        Stale batches (``staleness_window > 0`` with importance weighting)
-        carry a per-token ``importance_weights`` column; the actor's update
-        contract must declare it or training would crash (or worse, drop
-        the off-policy correction) at the first overlapped step — SF701.
+        Stale batches (``staleness_window > 0``) carry a per-token
+        ``importance_weights`` column; the actor's update contract must
+        declare it or training would crash (or worse, drop the off-policy
+        correction) at the first overlapped step — SF701.
         """
         from repro.rlhf.core import AlgoType
         from repro.runtime.presets import tiny_plan
@@ -626,13 +626,11 @@ class ShapeFlowChecker:
         algo = AlgoType(algo) if algo is not None else AlgoType.PPO
         if plan is None:
             plan = tiny_plan(algo)
-        window = pipeline_config.staleness_window
-        weighted = getattr(pipeline_config, "importance_weighting", True)
+        staleness = max(pipeline_config.staleness_window, 0)
         report.note_checked("pipeline_configs")
         # window+1 buffer versions in flight, all with identical symbolic
         # column shapes (the buffer is version-tagged, not shape-tagged)
-        report.note_checked("buffer_versions", max(window, 0) + 1)
-        staleness = window if (window > 0 and weighted) else 0
+        report.note_checked("buffer_versions", staleness + 1)
         return self.check_plan(
             algo,
             plan,

@@ -45,8 +45,10 @@ from repro.observability.metrics import MetricsRegistry
 from repro.runtime.builder import RlhfSystem
 from repro.runtime.recovery import (
     RecoveryCostModel,
-    _checkpoint_nbytes,
-    restore_system,
+    prompt_stream,
+    rebuild_and_restore,
+    save_checkpoint,
+    wire_system,
 )
 
 
@@ -188,45 +190,15 @@ class FleetScheduler:
 
     # -- job lifecycle -----------------------------------------------------------------
 
-    def _wire(self, job: _JobRuntime, system: RlhfSystem) -> None:
-        controller = system.controller
-        if self.retry_policy is not None:
-            controller.retry_policy = self.retry_policy
-        controller.attach_fault_injector(job.injector)
-        if not job.obs:
-            job.obs = {"tracer": controller.tracer, "metrics": controller.metrics}
-        else:
-            controller.attach_observability(job.obs["tracer"], job.obs["metrics"])
-        job.system = system
-
-    def _stream_at(self, job: _JobRuntime, iteration: int):
-        batches = job.spec.dataset().iter_batches(
-            job.spec.batch_size, epochs=10**6
-        )
-        for _ in range(iteration):
-            next(batches)
-        return batches
-
     def _save(self, job: _JobRuntime, iteration: int) -> None:
-        controller = job.system.controller
-        with controller.tracer.span(
-            "checkpoint.save",
-            category="checkpoint",
+        job.checkpoint_time += save_checkpoint(
+            job.system,
+            job.checkpoint_dir,
+            iteration,
+            self.cost,
+            extra={"dp": job.dp},
             job=job.spec.name,
-            iteration=iteration,
-        ) as span:
-            controller.save_checkpoint(
-                job.checkpoint_dir,
-                extra={
-                    "iteration": iteration,
-                    "trainer": job.system.trainer.state_dict(),
-                    "dp": job.dp,
-                },
-            )
-            save_time = self.cost.save_time(_checkpoint_nbytes(job.checkpoint_dir))
-            controller.clock.advance(save_time)
-            span.attrs["save_time"] = save_time
-        job.checkpoint_time += save_time
+        )
         job.has_checkpoint = True
 
     def _restore(self, job: _JobRuntime, as_repair: bool) -> int:
@@ -237,22 +209,14 @@ class FleetScheduler:
         job's downtime only for fault-driven restores (``as_repair``) —
         preemption restores are scheduling overhead, not MTTR.
         """
-        controller = job.system.controller
-        tracer = job.obs["tracer"]
-        with tracer.span(
-            "recovery.rebuild", category="recovery", job=job.spec.name
-        ):
-            controller.clock.advance(self.cost.reinit_time)
-        with tracer.span(
-            "recovery.restore", category="recovery", job=job.spec.name
-        ) as span:
-            resumed, restore_time = restore_system(
-                job.system,
-                job.checkpoint_dir,
-                self.cost,
-                allow_resize=True,
-            )
-            span.attrs["restore_time"] = restore_time
+        resumed, restore_time = rebuild_and_restore(
+            job.system,
+            job.obs["tracer"],
+            job.checkpoint_dir,
+            self.cost,
+            allow_resize=True,
+            job=job.spec.name,
+        )
         if as_repair:
             job.downtime += self.cost.reinit_time + restore_time
         lost = job.it - resumed
@@ -276,7 +240,12 @@ class FleetScheduler:
         if dp is None:
             return False
         resized = job.dp is not None and dp != job.dp
-        self._wire(job, job.spec.build(cluster=self.cluster, dp=dp))
+        job.system = wire_system(
+            job.spec.build(cluster=self.cluster, dp=dp),
+            job.obs,
+            job.injector,
+            self.retry_policy,
+        )
         controller = job.system.controller
         # A fresh controller clock starts at 0; line it up with the fleet
         # (or with the fault-detection time a recovery hands in) before any
@@ -319,7 +288,9 @@ class FleetScheduler:
         job.dp = dp
         job.state = JobState.RUNNING
         job.requeued_by_fault = False
-        job.batches = self._stream_at(job, job.it)
+        job.batches = prompt_stream(
+            job.spec.dataset(), job.spec.batch_size, job.it
+        )
         return True
 
     def _preempt(self, victim: _JobRuntime, tick: int) -> None:

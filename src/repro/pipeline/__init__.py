@@ -6,10 +6,11 @@ DistFlow / MindSpeed-RL relaxation of HybridFlow's synchronous dataflow,
 built so that every existing correctness gate (DF1xx dataflow checks, TA2xx
 trace audit, RC5xx race detection) still passes on the overlapped schedule.
 
-* :class:`PipelineConfig` — staleness window, importance weighting, buffer.
+* :class:`PipelineConfig` — staleness window, streamed scoring.
 * :class:`ExperienceBuffer` — bounded in-flight experience, version-tagged.
-* :class:`AsyncPipelineDriver` — the loop; ``staleness_window=0`` is
-  bit-exact with the synchronous trainers.
+* :class:`AsyncPipelineDriver` — the loop: it schedules the trainer's own
+  ``rollout`` and ``learn`` phases, so ``staleness_window=0`` is bit-exact
+  with the synchronous trainers by construction.
 * :func:`staleness_zero_check` — runs that guarantee as a self-check.
 """
 

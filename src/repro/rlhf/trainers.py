@@ -7,19 +7,40 @@ The numerical differences between algorithms live in
 :func:`repro.rlhf.core.compute_advantages` and the workers' loss functions —
 moving between algorithms only adds/removes a few calls, exactly as the
 paper's Figure 6 shows.
+
+Each algorithm's iteration is written once, as two phases:
+
+* :meth:`~RlhfTrainerBase.rollout` — generation (GRPO's per-prompt repeat
+  and ReMax's greedy baseline pass included);
+* :meth:`~RlhfTrainerBase.learn` — everything after generation: experience
+  preparation, advantages, truncated importance weights for stale
+  experience, and the minibatch updates.
+
+``step(prompts)`` is ``learn(rollout(prompts))``.  The synchronous loop
+(:meth:`~RlhfTrainerBase.train`) and the bounded-staleness async pipeline
+(:class:`repro.pipeline.AsyncPipelineDriver`) are two schedules of the same
+two phases; neither carries its own copy of an algorithm.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.data.batch import DataBatch
 from repro.data.dataset import PromptDataset
 from repro.rlhf.core import AlgoType, compute_advantages
-from repro.rlhf.losses import update_lagrange_multiplier
+from repro.rlhf.losses import (
+    truncated_importance_weights,
+    update_lagrange_multiplier,
+)
+
+#: Truncation bound of the importance ratio on stale experience (V-trace's
+#: rho-bar); at least 1, so on-policy tokens are never scaled.
+IW_CLIP = 2.0
 
 
 @dataclasses.dataclass
@@ -43,7 +64,11 @@ class TrainerConfig:
 
 
 class RlhfTrainerBase:
-    """Common loop: iterate prompt batches, run ``step``, record metrics."""
+    """Common loop: iterate prompt batches, run ``step``, record metrics.
+
+    Subclasses write their algorithm as :meth:`learn` (and override
+    :meth:`rollout` when generation is more than one sampling pass).
+    """
 
     algo: AlgoType
 
@@ -65,10 +90,26 @@ class RlhfTrainerBase:
         self.history: List[Dict[str, Any]] = []
         self._rng = np.random.default_rng(self.config.seed)
 
-    # -- subclass hook -------------------------------------------------------------
+    # -- the two phases of one iteration -------------------------------------------
+
+    def rollout(self, prompts: DataBatch) -> DataBatch:
+        """Stage 1: generate one response per prompt row."""
+        return self.actor.generate_sequences(prompts).get()
+
+    def learn(self, batch: DataBatch, staleness: int = 0) -> Dict[str, Any]:
+        """Stages 2–3 on one rollout: prepare experience, update the models.
+
+        ``staleness`` is how many policy versions the rollout's behaviour
+        policy lags the policy being trained.  PPO and GRPO correct a stale
+        rollout with truncated importance weights.  ReMax and Safe-RLHF
+        have no such correction and ignore it: they learn from on-policy
+        rollouts only, and DF108 keeps them out of the async pipeline.
+        """
+        raise NotImplementedError
 
     def step(self, prompts: DataBatch) -> Dict[str, Any]:
-        raise NotImplementedError
+        """One synchronous iteration: ``learn(rollout(prompts))``."""
+        return self.learn(self.rollout(prompts))
 
     # -- driver-level checkpoint state (§9: dataloader IDs etc.) -------------------
 
@@ -85,16 +126,38 @@ class RlhfTrainerBase:
 
     # -- shared pieces -------------------------------------------------------------
 
+    def score_rollout(self, gen_batch: DataBatch) -> DataBatch:
+        """Attach the frozen models' columns: reference log-probs and scores.
+
+        The async pipeline's streamed rollouts call this right after
+        generation; :meth:`learn` then skips the columns already present.
+        Both models are frozen, so when they run changes no value.
+        """
+        for future in self._score_frozen(gen_batch):
+            gen_batch = gen_batch.union(future.get())
+        return gen_batch
+
+    def _score_frozen(self, gen_batch: DataBatch) -> List[Any]:
+        """Dispatch the frozen-model passes whose columns are still missing."""
+        futures = []
+        if "ref_log_probs" not in gen_batch:
+            futures.append(self.reference.compute_ref_log_prob(gen_batch))
+        if "scores" not in gen_batch:
+            futures.append(self.reward.compute_reward(gen_batch))
+        return futures
+
     def _prepare_common(self, gen_batch: DataBatch) -> DataBatch:
-        """Reference log-probs + reward scores (stage 2 shared by all algos).
+        """Reference log-probs + reward scores + anchor log-probs (stage 2).
 
         Every preparation call consumes the *generation output* rather than
         each other's results — the independence that lets models on disjoint
         pools run concurrently (§4.1's asynchronous execution; visible in
-        the execution timelines).
+        the execution timelines).  Frozen-model columns a streamed rollout
+        already carries are not recomputed; the anchor log-probs always
+        are, under the policy being trained, because they anchor the
+        importance weights of a stale rollout.
         """
-        ref = self.reference.compute_ref_log_prob(gen_batch)
-        scores = self.reward.compute_reward(gen_batch)
+        frozen = self._score_frozen(gen_batch)
         if self.config.recompute_log_probs:
             logp = self.actor.compute_log_prob(gen_batch)
             batch = gen_batch.union(logp.get())
@@ -105,7 +168,32 @@ class RlhfTrainerBase:
                     meta=gen_batch.meta,
                 )
             )
-        return batch.union(ref.get()).union(scores.get())
+        for future in frozen:
+            batch = batch.union(future.get())
+        return batch
+
+    def _importance_weighted(
+        self, batch: DataBatch, staleness: int
+    ) -> DataBatch:
+        """Attach truncated importance weights to a stale rollout.
+
+        The ratio is the anchor (train-time) policy over the behaviour
+        (generation-time) policy per response token, capped at
+        :data:`IW_CLIP`.  An on-policy batch is returned unchanged, so the
+        synchronous loop never sees the column.
+        """
+        if staleness == 0:
+            return batch
+        mask = batch["response_mask"] if "response_mask" in batch else None
+        weights = truncated_importance_weights(
+            batch["log_probs"],
+            batch["old_log_probs"],
+            clip=IW_CLIP,
+            response_mask=mask,
+        )
+        return batch.union(
+            DataBatch({"importance_weights": weights}, meta=batch.meta)
+        )
 
     def _minibatches(self, batch: DataBatch) -> List[DataBatch]:
         n = self.config.updates_per_epoch
@@ -116,15 +204,21 @@ class RlhfTrainerBase:
         return batch.chunk(n)
 
     def run_step(self, prompts: DataBatch) -> Dict[str, Any]:
-        """One RLHF iteration, traced and metered through the controller.
+        """One traced, metered RLHF iteration: :meth:`step` on ``prompts``."""
+        return self.run_iteration(lambda: self.step(prompts))
 
-        Wraps :meth:`step` in an ``iteration`` span (so every dispatch of
-        the iteration nests under it in the exported trace), records
+    def run_iteration(
+        self, body: Callable[[], Dict[str, Any]]
+    ) -> Dict[str, Any]:
+        """Run one iteration's ``body``, traced and metered.
+
+        Wraps ``body`` in an ``iteration`` span (so every dispatch of the
+        iteration nests under it in the exported trace), records
         per-iteration count/latency in the controller's metrics registry,
-        and appends the step metrics to :attr:`history` on success — so
-        iteration numbering stays correct for any driver, including the
-        recovery loop.  Works unchanged on bare worker groups with no
-        controller.
+        and appends the returned metrics to :attr:`history` on success — so
+        iteration numbering stays correct for any schedule, including the
+        recovery loop and the async pipeline.  Works unchanged on bare
+        worker groups with no controller.
         """
         controller = getattr(self.actor, "controller", None)
         tracer = getattr(controller, "tracer", None)
@@ -132,16 +226,18 @@ class RlhfTrainerBase:
         iteration = len(self.history)
         algo = self.algo.name.lower()
         started = controller.clock.now if controller is not None else 0.0
-        if tracer is None:
-            result = self.step(prompts)
-        else:
-            with tracer.span(
+        span = (
+            contextlib.nullcontext()
+            if tracer is None
+            else tracer.span(
                 f"iteration[{iteration}]",
                 category="iteration",
                 algo=algo,
                 iteration=iteration,
-            ):
-                result = self.step(prompts)
+            )
+        )
+        with span:
+            result = body()
         if metrics is not None:
             metrics.counter(
                 "repro_iterations_total", "RLHF iterations completed", algo=algo
@@ -169,14 +265,12 @@ class PPOTrainer(RlhfTrainerBase):
 
     algo = AlgoType.PPO
 
-    def step(self, prompts: DataBatch) -> Dict[str, Any]:
+    def learn(self, batch: DataBatch, staleness: int = 0) -> Dict[str, Any]:
         cfg = self.config
-        # Stage 1: generation
-        gen_batch = self.actor.generate_sequences(prompts).get()
         # Stage 2: experience preparation — all scoring passes consume the
         # generation output and can overlap across pools
-        values = self.critic.compute_values(gen_batch)
-        batch = self._prepare_common(gen_batch).union(values.get())
+        values = self.critic.compute_values(batch)
+        batch = self._prepare_common(batch).union(values.get())
         batch = compute_advantages(
             batch,
             AlgoType.PPO,
@@ -185,6 +279,7 @@ class PPOTrainer(RlhfTrainerBase):
             lam=cfg.lam,
             whiten_advantages=cfg.whiten_advantages,
         )
+        batch = self._importance_weighted(batch, staleness)
         # Stage 3: actor and critic training
         metrics: Dict[str, Any] = {"score_mean": float(batch["scores"].mean())}
         for _ in range(cfg.ppo_epochs):
@@ -201,14 +296,23 @@ class PPOTrainer(RlhfTrainerBase):
 
 
 class ReMaxTrainer(RlhfTrainerBase):
-    """ReMax [43]: extra greedy generation pass, no critic (Figure 6)."""
+    """ReMax [43]: extra greedy generation pass, no critic (Figure 6).
+
+    The rollout carries the greedy baseline rollout in ``meta["baseline"]``
+    until :meth:`learn` scores it.
+    """
 
     algo = AlgoType.REMAX
 
-    def step(self, prompts: DataBatch) -> Dict[str, Any]:
-        cfg = self.config
+    def rollout(self, prompts: DataBatch) -> DataBatch:
         batch = self.actor.generate_sequences(prompts).get()
         baseline = self.actor.generate_sequences(prompts, do_sample=False).get()
+        batch.meta["baseline"] = baseline
+        return batch
+
+    def learn(self, batch: DataBatch, staleness: int = 0) -> Dict[str, Any]:
+        cfg = self.config
+        baseline = batch.meta.pop("baseline")
         batch = self._prepare_common(batch)
         baseline_scores = self.reward.compute_reward(baseline).get()["scores"]
         batch = batch.union(
@@ -256,13 +360,12 @@ class SafeRLHFTrainer(RlhfTrainerBase):
         pretrain = self.pretrain_dataset.batch(start, size)
         return DataBatch({"tokens": pretrain["prompts"]})
 
-    def step(self, prompts: DataBatch) -> Dict[str, Any]:
+    def learn(self, batch: DataBatch, staleness: int = 0) -> Dict[str, Any]:
         cfg = self.config
-        gen_batch = self.actor.generate_sequences(prompts).get()
-        values = self.critic.compute_values(gen_batch)
-        costs = self.cost.compute_cost(gen_batch)
+        values = self.critic.compute_values(batch)
+        costs = self.cost.compute_cost(batch)
         batch = (
-            self._prepare_common(gen_batch)
+            self._prepare_common(batch)
             .union(values.get())
             .union(costs.get())
         )
@@ -285,11 +388,11 @@ class SafeRLHFTrainer(RlhfTrainerBase):
             "cost_mean": float(batch["costs"].mean()),
             "lagrange_multiplier": self.lagrange_multiplier,
         }
-        pretrain = self._pretrain_batch(len(prompts))
+        pretrain = self._pretrain_batch(len(batch))
         if pretrain is not None:
             metrics.update(self.actor.compute_loss(pretrain).get())
         for _ in range(cfg.ppo_epochs):
-            for mini_index, mini in enumerate(self._minibatches(batch)):
+            for mini in self._minibatches(batch):
                 critic_metrics = self.critic.update_critic(
                     mini, loss_func="safe-rlhf"
                 ).get()
@@ -310,14 +413,17 @@ class GRPOTrainer(RlhfTrainerBase):
 
     algo = AlgoType.GRPO
 
-    def step(self, prompts: DataBatch) -> Dict[str, Any]:
+    def rollout(self, prompts: DataBatch) -> DataBatch:
+        """``group_size`` sampled responses per prompt, rows grouped."""
+        return super().rollout(prompts.repeat(self.config.group_size))
+
+    def learn(self, batch: DataBatch, staleness: int = 0) -> Dict[str, Any]:
         cfg = self.config
-        grouped = prompts.repeat(cfg.group_size)
-        batch = self.actor.generate_sequences(grouped).get()
         batch = self._prepare_common(batch)
         batch = compute_advantages(
             batch, AlgoType.GRPO, group_size=cfg.group_size
         )
+        batch = self._importance_weighted(batch, staleness)
         metrics: Dict[str, Any] = {"score_mean": float(batch["scores"].mean())}
         for _ in range(cfg.ppo_epochs):
             for mini in self._minibatches(batch):

@@ -134,6 +134,101 @@ def _checkpoint_nbytes(directory: pathlib.Path) -> int:
     return sum(f.stat().st_size for f in directory.glob("*") if f.is_file())
 
 
+# -- run-loop pieces shared with the fleet scheduler ---------------------------------
+
+
+def wire_system(
+    system: RlhfSystem,
+    obs: Dict[str, Any],
+    injector: Optional[FaultInjector] = None,
+    retry_policy: Optional[RetryPolicy] = None,
+) -> RlhfSystem:
+    """Attach the run's fault plumbing and observability to a (re)built system.
+
+    ``obs`` is filled with the first build's tracer and metrics registry;
+    every rebuilt controller is re-attached to them, so one observability
+    record spans the faulted run, the recovery phases, and the resumed run.
+    """
+    controller = system.controller
+    if retry_policy is not None:
+        controller.retry_policy = retry_policy
+    if injector is not None:
+        controller.attach_fault_injector(injector)
+    if not obs:
+        obs["tracer"] = controller.tracer
+        obs["metrics"] = controller.metrics
+    else:
+        controller.attach_observability(obs["tracer"], obs["metrics"])
+    return system
+
+
+def prompt_stream(dataset: PromptDataset, batch_size: int, start: int):
+    """The deterministic prompt-batch iterator, fast-forwarded to ``start``."""
+    batches = dataset.iter_batches(batch_size, epochs=10**6)
+    for _ in range(start):
+        next(batches)
+    return batches
+
+
+def save_checkpoint(
+    system: RlhfSystem,
+    directory: pathlib.Path,
+    iteration: int,
+    cost: RecoveryCostModel,
+    extra: Optional[Dict[str, Any]] = None,
+    **span_attrs: Any,
+) -> float:
+    """Atomic checkpoint of workers + trainer state at ``iteration``.
+
+    Traced as a ``checkpoint.save`` span and charged to the simulated
+    clock; ``extra`` adds manifest keys.  Returns the simulated save time.
+    """
+    controller = system.controller
+    with controller.tracer.span(
+        "checkpoint.save",
+        category="checkpoint",
+        **span_attrs,
+        iteration=iteration,
+    ) as span:
+        controller.save_checkpoint(
+            directory,
+            extra={
+                "iteration": iteration,
+                "trainer": system.trainer.state_dict(),
+                **(extra or {}),
+            },
+        )
+        save_time = cost.save_time(_checkpoint_nbytes(directory))
+        controller.clock.advance(save_time)
+        span.attrs["save_time"] = save_time
+    return save_time
+
+
+def rebuild_and_restore(
+    system: RlhfSystem,
+    tracer: Any,
+    checkpoint_dir: pathlib.Path,
+    cost: RecoveryCostModel,
+    allow_resize: bool = False,
+    **span_attrs: Any,
+) -> Tuple[int, float]:
+    """Charge re-init, then restore the checkpoint, each under its own span.
+
+    Returns ``(resumed_iteration, restore_time)`` like
+    :func:`restore_system`.
+    """
+    with tracer.span("recovery.rebuild", category="recovery", **span_attrs):
+        system.controller.clock.advance(cost.reinit_time)
+    with tracer.span(
+        "recovery.restore", category="recovery", **span_attrs
+    ) as span:
+        resumed, restore_time = restore_system(
+            system, checkpoint_dir, cost, allow_resize=allow_resize
+        )
+        span.attrs["restore_time"] = restore_time
+    return resumed, restore_time
+
+
 def restore_system(
     system: RlhfSystem,
     checkpoint_dir: str,
@@ -201,52 +296,18 @@ def train_with_recovery(
     cost = cost_model or RecoveryCostModel()
     root = pathlib.Path(checkpoint_dir)
     report = RecoveryReport()
-    #: Observability record of the whole run: captured from the first build
-    #: and re-attached to every rebuilt controller, so one tracer/registry
-    #: spans the faulted run, the recovery phases, and the resumed run.
+    #: Observability record of the whole run (see :func:`wire_system`).
     obs: Dict[str, Any] = {}
 
-    def _wire(system: RlhfSystem) -> RlhfSystem:
-        if retry_policy is not None:
-            system.controller.retry_policy = retry_policy
-        if injector is not None:
-            system.controller.attach_fault_injector(injector)
-        if not obs:
-            obs["tracer"] = system.controller.tracer
-            obs["metrics"] = system.controller.metrics
-        else:
-            system.controller.attach_observability(obs["tracer"], obs["metrics"])
-        return system
-
     def _save(system: RlhfSystem, iteration: int) -> None:
-        controller = system.controller
-        with controller.tracer.span(
-            "checkpoint.save", category="checkpoint", iteration=iteration
-        ) as span:
-            controller.save_checkpoint(
-                root,
-                extra={
-                    "iteration": iteration,
-                    "trainer": system.trainer.state_dict(),
-                },
-            )
-            save_time = cost.save_time(_checkpoint_nbytes(root))
-            controller.clock.advance(save_time)
-            span.attrs["save_time"] = save_time
+        report.checkpoint_time += save_checkpoint(system, root, iteration, cost)
         report.checkpoints_saved += 1
-        report.checkpoint_time += save_time
 
-    def _stream_at(iteration: int):
-        batches = dataset.iter_batches(batch_size, epochs=10**6)
-        for _ in range(iteration):
-            next(batches)
-        return batches
-
-    system = _wire(build_fn(None))
+    system = wire_system(build_fn(None), obs, injector, retry_policy)
     cluster = system.controller.cluster
     _save(system, 0)  # recovery target before the first periodic save exists
     history: List[Dict[str, Any]] = []
-    batches = _stream_at(0)
+    batches = prompt_stream(dataset, batch_size, 0)
     it = 0
     recoveries = 0
     while it < n_iterations:
@@ -272,16 +333,14 @@ def train_with_recovery(
             with tracer.span("recovery.teardown", category="recovery"):
                 system.controller.release_pools()
             # re-place on the shrunken cluster and restore the checkpoint.
-            # _wire re-points the shared tracer at the rebuilt controller's
-            # clock, which restarts at 0 — advance it back to the detection
-            # time before opening any further spans.
-            system = _wire(build_fn(cluster))
+            # wire_system re-points the shared tracer at the rebuilt
+            # controller's clock, which restarts at 0 — advance it back to
+            # the detection time before opening any further spans.
+            system = wire_system(build_fn(cluster), obs, injector, retry_policy)
             system.controller.clock.advance(detected)
-            with tracer.span("recovery.rebuild", category="recovery"):
-                system.controller.clock.advance(cost.reinit_time)
-            with tracer.span("recovery.restore", category="recovery") as restore_span:
-                resumed, restore_time = restore_system(system, root, cost)
-                restore_span.attrs["restore_time"] = restore_time
+            resumed, restore_time = rebuild_and_restore(
+                system, tracer, root, cost
+            )
             tracer.end(
                 recovery_span,
                 resumed_iteration=resumed,
@@ -308,7 +367,7 @@ def train_with_recovery(
                 )
             )
             history = history[:resumed]
-            batches = _stream_at(resumed)
+            batches = prompt_stream(dataset, batch_size, resumed)
             it = resumed
             continue
         history.append(metrics)

@@ -314,11 +314,13 @@ class RolloutServer:
                 f"prompt + max_new_tokens = {max_len} exceeds max_seq_len "
                 f"{self.model.config.max_seq_len}"
             )
-        if self.kv.blocks_needed(max_len) > self.kv.n_blocks:
+        # the last sampled token is never fed back, so it is never cached
+        blocks = self.kv.blocks_needed(max_len - 1)
+        if blocks > self.kv.n_blocks:
             raise ValueError(
-                f"request needs {self.kv.blocks_needed(max_len)} KV blocks "
-                f"at full length but the pool only has {self.kv.n_blocks}; "
-                "preemption could never make it fit"
+                f"request needs {blocks} KV blocks at full length but the "
+                f"pool only has {self.kv.n_blocks}; preemption could never "
+                "make it fit"
             )
         request_id = self._next_id
         self._next_id += 1

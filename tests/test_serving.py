@@ -224,12 +224,18 @@ class TestScheduling:
         with pytest.raises(ValueError):
             server.submit(prompt, max_new_tokens=CFG.max_seq_len)
         with pytest.raises(ValueError):
-            # 4 + 8 tokens needs 3 blocks; the pool only ever has 2
+            # 4 + 8 tokens caches 11 positions, 3 blocks; the pool has 2
             server.submit(prompt, max_new_tokens=8)
         with pytest.raises(ValueError):
             server.submit(np.zeros((2, 4), dtype=int), max_new_tokens=2)
         with pytest.raises(ValueError):
             server.submit(prompt, max_new_tokens=0)
+        # exact fit: the last of 4 + 5 tokens is never cached, so the
+        # request needs 8 positions, exactly the pool's 2 blocks
+        server.submit(prompt, max_new_tokens=5)
+        report = server.drain()
+        assert report.total_tokens == 5
+        assert report.peak_kv_blocks == 2
 
     def test_submit_rejects_token_ids_outside_vocab(self, model):
         """A negative id would be served silently; one >= vocab would crash
