@@ -11,11 +11,10 @@ for actor/reference) or a scalar head (``"scalar"``, for critic/reward/cost —
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.config import ModelSpec
 from repro.models import autograd as ag
 from repro.models.autograd import Tensor
 
@@ -45,18 +44,6 @@ class TinyLMConfig:
     @property
     def head_dim(self) -> int:
         return self.hidden_size // self.n_heads
-
-    @classmethod
-    def from_spec(cls, spec: ModelSpec, output_head: str = "lm") -> "TinyLMConfig":
-        return cls(
-            n_layers=spec.n_layers,
-            hidden_size=spec.hidden_size,
-            n_heads=spec.n_heads,
-            ffn_hidden_size=spec.ffn_hidden_size,
-            vocab_size=spec.vocab_size,
-            max_seq_len=spec.max_seq_len,
-            output_head=output_head,
-        )
 
 
 def _rms_norm(x: ag.Operand, weight: ag.Operand, eps: float) -> ag.Operand:
@@ -155,31 +142,6 @@ class KVCache:
         return sum(self.nbytes_by_layer())
 
 
-def _append_rows(
-    caches: Sequence[KVCache],
-    layer: int,
-    k: np.ndarray,
-    v: np.ndarray,
-    out: Tuple[np.ndarray, np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Ragged :meth:`KVCache.append`: row ``i`` goes to ``caches[i]``.
-
-    Each row is written at its own cache's position, then its whole cached
-    K/V is copied into row ``i`` of ``out``, a zero-padded ``(batch,
-    n_heads, width, head_dim)`` K/V pair.  The pair is not per layer: every
-    layer of a ragged forward gathers into the same one, since a row holds
-    the same number of positions in every layer and so never overwrites
-    its own zero padding.
-    """
-    keys, values = out
-    for i, cache in enumerate(caches):
-        row_k, row_v = cache.append(layer, k[i : i + 1], v[i : i + 1])
-        n = row_k.shape[2]
-        keys[i, :, :n] = row_k[0]
-        values[i, :, :n] = row_v[0]
-    return keys, values
-
-
 class TinyLM:
     """The model: a parameter dict plus forward/generation methods."""
 
@@ -238,9 +200,6 @@ class TinyLM:
         for p in self.params.values():
             p.zero_grad()
 
-    def named_parameters(self) -> Dict[str, Tensor]:
-        return self.params
-
     def n_params(self) -> int:
         return sum(p.size for p in self.params.values())
 
@@ -298,9 +257,8 @@ class TinyLM:
         p: Dict[str, ag.Operand],
         x: ag.Operand,
         layer: int,
-        cache: Union[KVCache, Sequence[KVCache], None],
+        cache: Any,
         positions: np.ndarray,
-        kv_rows: Optional[Tuple[np.ndarray, np.ndarray]],
     ) -> ag.Operand:
         cfg = self.config
         b, t, h = x.shape
@@ -314,20 +272,14 @@ class TinyLM:
         k = split_heads(ag.linear(x, p[f"{prefix}.wk"]))
         v = split_heads(ag.linear(x, p[f"{prefix}.wv"]))
 
-        if isinstance(cache, KVCache):
+        if cache is not None:
             k, v = cache.append(layer, ag.getval(k), ag.getval(v))
-        elif cache is not None:
-            if isinstance(x, Tensor):
-                # the tape keeps each layer's K/V for the backward, so it
-                # never gathers into the pair a later layer overwrites
-                kv_rows = (np.zeros_like(kv_rows[0]), np.zeros_like(kv_rows[1]))
-            k, v = _append_rows(cache, layer, ag.getval(k), ag.getval(v), kv_rows)
         kv_len = k.shape[2]
 
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(hd))
         # causal mask on absolute positions: key j is visible to a query at
-        # position p iff j <= p — the same rule hides a ragged batch's
-        # padding, which sits past every real key of its row
+        # position p iff j <= p — the same rule hides the positions of a
+        # ragged batch past a row's own length
         mask = np.arange(kv_len) > positions[..., None]  # True = masked out
         if positions.ndim == 2:
             mask = mask[:, None]  # per-row positions: broadcast over heads
@@ -347,7 +299,7 @@ class TinyLM:
         self,
         p: Dict[str, ag.Operand],
         token_ids: np.ndarray,
-        cache: Union[KVCache, Sequence[KVCache], None],
+        cache: Any,
         pos_offset: Union[int, np.ndarray],
     ) -> ag.Operand:
         cfg = self.config
@@ -368,15 +320,11 @@ class TinyLM:
         if offsets.ndim == 0:
             positions = np.arange(int(offsets), int(offsets) + t)
         else:
-            if (
-                offsets.shape != (b,)
-                or cache is None
-                or isinstance(cache, KVCache)
-                or [c.seq_len for c in cache] != offsets.tolist()
+            if offsets.shape != (b,) or not np.array_equal(
+                getattr(cache, "seq_len", None), offsets
             ):
                 raise ValueError(
-                    "per-row pos_offset needs one KVCache per row, each "
-                    "holding exactly that row's offset in positions"
+                    "per-row pos_offset must equal the cache's per-row seq_len"
                 )
             positions = offsets[:, None] + np.arange(t)
         if int(offsets.max()) + t > cfg.max_seq_len:
@@ -384,20 +332,12 @@ class TinyLM:
                 f"sequence length {int(offsets.max()) + t} exceeds max_seq_len "
                 f"{cfg.max_seq_len}"
             )
-        kv_rows = None
-        if cache is not None and not isinstance(cache, KVCache):
-            # one zero-padded K/V pair that every layer gathers its rows into
-            shape = (b, cfg.n_heads, max(c.seq_len for c in cache) + t, cfg.head_dim)
-            kv_rows = (
-                np.zeros(shape, dtype=np.float64),
-                np.zeros(shape, dtype=np.float64),
-            )
         x = ag.embedding(p["embed.weight"], token_ids) + ag.embedding(
             p["pos_embed.weight"], positions
         )
         for layer in range(cfg.n_layers):
             normed = _rms_norm(x, p[f"layers.{layer}.attn_norm.weight"], cfg.rms_eps)
-            x = x + self._attention(p, normed, layer, cache, positions, kv_rows)
+            x = x + self._attention(p, normed, layer, cache, positions)
             normed = _rms_norm(x, p[f"layers.{layer}.mlp_norm.weight"], cfg.rms_eps)
             x = x + self._mlp(p, normed, layer)
         return _rms_norm(x, p["final_norm.weight"], cfg.rms_eps)
@@ -405,15 +345,15 @@ class TinyLM:
     def forward(
         self,
         token_ids: np.ndarray,
-        cache: Union[KVCache, Sequence[KVCache], None] = None,
+        cache: Any = None,
         pos_offset: Union[int, np.ndarray] = 0,
     ) -> Tensor:
         """Logits ``(batch, seq, vocab)`` or values ``(batch, seq)``.
 
-        ``pos_offset`` is the position of the first token: one int for the
-        whole batch, or one per row together with one :class:`KVCache` per
-        row in ``cache`` — the ragged decode of rows whose caches hold
-        different lengths.
+        ``cache`` is a :class:`KVCache` or a slot range of the serving store
+        (:class:`repro.serving.paged_kv.SlotRows`).  ``pos_offset`` is the
+        position of the first token: one int for the whole batch, or one per
+        row equal to the slot range's ``seq_len`` — the ragged decode.
 
         Under ``no_grad`` (or with no parameter requiring grad) the forward
         runs tape-free on the parameters' arrays and only its output is

@@ -253,9 +253,9 @@ def bench_serving_drain_ragged() -> Tuple[Dict[str, Any], Dict[str, Any]]:
 
     Hundreds of requests with prompts of different lengths keep the slots'
     KV lengths ragged on every step, so the batched engine's one forward
-    spans padded rows.  Greedy output must equal the per-slot oracle token
-    for token; the log-prob gap the padding's reordered sums leave is
-    recorded, not compared.
+    spans rows of different lengths.  Greedy output must equal the per-slot
+    oracle token for token; the log-prob gap the ragged rows' reordered
+    attention sums leave is recorded, not compared.
     """
     from repro.models.tinylm import TinyLM, TinyLMConfig
     from repro.serving import RolloutServer, ServingConfig
@@ -319,7 +319,8 @@ def bench_serving_drain_ragged() -> Tuple[Dict[str, Any], Dict[str, Any]]:
         "n_steps": _metric("exact", report.n_steps),
         "total_tokens": _metric("exact", report.total_tokens),
         "greedy_equals_per_slot": _metric("exact", outputs_equal),
-        # the no-grad forward is tape-free: one output Tensor per forward
+        # one output Tensor per tape-free forward: one per decode step plus
+        # one per cohort of equal-length admissions a step prefills
         "tensors_created": _metric("exact", tensors_created),
         "max_abs_logp_gap": _metric("info", max_logp_gap),
         "wall_seconds": _metric("wall", batched_wall),

@@ -14,7 +14,12 @@ trace audit, RC5xx race detection) still passes on the overlapped schedule.
 * :func:`staleness_zero_check` — runs that guarantee as a self-check.
 """
 
-from repro.pipeline.buffer import BufferFull, Experience, ExperienceBuffer
+from repro.pipeline.buffer import (
+    BufferFull,
+    Experience,
+    ExperienceBuffer,
+    StalenessWindowMismatch,
+)
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.driver import AsyncPipelineDriver, staleness_zero_check
 
@@ -24,5 +29,6 @@ __all__ = [
     "Experience",
     "ExperienceBuffer",
     "PipelineConfig",
+    "StalenessWindowMismatch",
     "staleness_zero_check",
 ]

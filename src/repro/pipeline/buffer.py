@@ -22,6 +22,10 @@ class BufferFull(RuntimeError):
     """The rollout engine ran further ahead than the buffer allows."""
 
 
+class StalenessWindowMismatch(ValueError):
+    """A checkpoint's buffered experience exceeds the restoring window."""
+
+
 @dataclasses.dataclass
 class Experience:
     """One iteration's rollout: the batch plus its behaviour-policy tag."""
@@ -101,11 +105,17 @@ class ExperienceBuffer:
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         """Restore buffered experience bit-exactly.
 
-        Lineage meta is *not* restored: the saved record seqs referenced the
-        pre-restart trace and would be dangling edges in the recovered
-        controller's happens-before graph.
+        The buffer keeps its own capacity: the saved one belongs to the
+        window the checkpoint was taken under.  Lineage meta is *not*
+        restored: the saved record seqs referenced the pre-restart trace
+        and would be dangling edges in the recovered controller's
+        happens-before graph.
         """
-        self.capacity = int(state["capacity"])
+        if len(state["entries"]) > self.capacity:
+            raise BufferFull(
+                f"checkpoint holds {len(state['entries'])} buffered rollouts, "
+                f"more than this buffer's {self.capacity} slots"
+            )
         self._entries = {}
         for raw in state["entries"]:
             columns = {
@@ -122,4 +132,4 @@ class ExperienceBuffer:
         self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
 
 
-__all__ = ["BufferFull", "Experience", "ExperienceBuffer"]
+__all__ = ["BufferFull", "Experience", "ExperienceBuffer", "StalenessWindowMismatch"]

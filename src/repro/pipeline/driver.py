@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.data.batch import DataBatch
 from repro.data.dataset import PromptDataset
 from repro.hybrid_engine.publication import WeightPublisher
-from repro.pipeline.buffer import ExperienceBuffer
+from repro.pipeline.buffer import ExperienceBuffer, StalenessWindowMismatch
 from repro.pipeline.config import PipelineConfig
 from repro.rlhf.trainers import RlhfTrainerBase
 from repro.runtime.presets import states_equal
@@ -228,6 +228,24 @@ class AsyncPipelineDriver:
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
+        """Restore both cursors, the buffer and the publisher.
+
+        Raises :class:`StalenessWindowMismatch`, restoring nothing, when the
+        checkpoint buffers more rollouts than this driver's ``W + 1`` or
+        any of them would train staler than ``W``: a checkpoint from a
+        wider window cannot resume under a narrower one.
+        """
+        window = self.config.staleness_window
+        entries = state["buffer"]["entries"]
+        stalest = max((e["index"] - e["version"] for e in entries), default=0)
+        if len(entries) > self.buffer.capacity or stalest > window:
+            raise StalenessWindowMismatch(
+                f"checkpoint taken at staleness window "
+                f"{state['buffer']['capacity'] - 1} buffers {len(entries)} "
+                f"rollouts, the stalest {stalest} versions behind; this "
+                f"driver's window {window} allows {window + 1} rollouts and "
+                f"staleness {window}"
+            )
         self._next_gen = int(state["next_gen"])
         self.max_staleness_seen = int(state["max_staleness_seen"])
         self.buffer.load_state_dict(state["buffer"])

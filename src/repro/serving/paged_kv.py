@@ -12,19 +12,24 @@ This manager tracks the *accounting* half of that design exactly: a free
 pool of block ids, per-request block tables, reserve/release, and a charge
 against a :class:`repro.cluster.SimDevice` memory ledger under a named tag —
 so block exhaustion and simulated-device OOM are the same budget viewed at
-two granularities.  The token payloads themselves live in each request's
-:class:`repro.models.tinylm.KVCache` (one dense buffer per layer, allocated
-at the request's capacity and written in place; the one-forward decode
-gathers the running rows into a padded batch per layer); the block manager
-decides *whether they may exist*, which is all the scheduler needs.
+two granularities.  The K/V themselves live in one slot-major store, per
+layer a K and a V of ``(max_slots, n_heads, capacity, head_dim)``, dropped
+once no request is pending.  Slots stay compact (a freed slot takes the
+highest occupied one), so a forward over ``n`` resident requests reads a
+zero-copy view of slots ``[0, n)``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import dataclasses
+import mmap
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cluster.device import SimDevice
 from repro.models.tinylm import TinyLMConfig
+from repro.serving.request import Request
 
 #: numpy float64 — the repo-wide model dtype.
 DTYPE_BYTES = 8
@@ -60,6 +65,7 @@ class PagedKVCache:
             after every reserve/release, so the pool shows up in the same
             OOM accounting as params/grads/optimizer state.
         tag: Ledger tag for the charge.
+        max_slots: Rows of the slot-major K/V store.
     """
 
     def __init__(
@@ -69,6 +75,7 @@ class PagedKVCache:
         n_blocks: int = 64,
         device: Optional[SimDevice] = None,
         tag: str = "serving/kv_blocks",
+        max_slots: int = 8,
     ) -> None:
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
@@ -84,16 +91,20 @@ class PagedKVCache:
         self._free: List[int] = list(range(n_blocks - 1, -1, -1))
         self._tables: Dict[int, List[int]] = {}
         self.peak_blocks_in_use = 0
+        self.max_slots = max_slots
+        #: Positions a slot must cache: the longest request submitted.
+        self.capacity = 0
+        #: ``(2, n_layers, max_slots, n_heads, capacity, head_dim)`` K and V,
+        #: zero-filled on first use, ``None`` while no request is pending.
+        self.store: Optional[np.ndarray] = None
+        #: ``slots[i]`` is the request holding slot ``i`` (its ``cache``).
+        self.slots: List[Request] = []
 
     # -- queries ---------------------------------------------------------------------
 
     @property
     def blocks_in_use(self) -> int:
         return self.n_blocks - len(self._free)
-
-    @property
-    def blocks_free(self) -> int:
-        return len(self._free)
 
     def bytes_in_use(self) -> int:
         return self.blocks_in_use * self.bytes_per_block
@@ -142,6 +153,37 @@ class PagedKVCache:
         self._charge()
         return len(table)
 
+    # -- the slot-major K/V store ---------------------------------------------------
+
+    def take_slots(self, reqs: Sequence[Request]) -> None:
+        """Give ``reqs`` the next free slots, in order; the store is
+        allocated, or regrown with a copy, to ``capacity`` positions first."""
+        old, cfg = self.store, self.config
+        if old is None or old.shape[-2] < self.capacity:
+            shape = (2, cfg.n_layers, self.max_slots, cfg.n_heads, self.capacity)
+            # a zero-filled mapping of its own, not the heap: a dropped store
+            # leaves no hole that a later store outgrows into a second copy
+            size = int(np.prod(shape)) * cfg.head_dim * DTYPE_BYTES
+            buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+            self.store = np.frombuffer(buf, dtype=np.float64).reshape(shape + (-1,))
+            if old is not None:
+                self.store[..., : old.shape[-2], :] = old
+        for req in reqs:
+            req.cache = len(self.slots)
+            self.slots.append(req)
+
+    def free_slot(self, req: Request) -> None:
+        """Free ``req``'s slot, if any, moving the highest occupied slot in."""
+        if req.cache is None:
+            return
+        hole, last = req.cache, self.slots.pop()
+        req.cache = None
+        if last is not req:
+            n = last.kv_len
+            self.store[:, :, hole, :, :n] = self.store[:, :, last.cache, :, :n]
+            last.cache = hole
+            self.slots[hole] = last
+
     def _charge(self) -> None:
         self.peak_blocks_in_use = max(self.peak_blocks_in_use, self.blocks_in_use)
         if self.device is not None:
@@ -153,3 +195,29 @@ class PagedKVCache:
             f"use, block_size={self.block_size}, "
             f"{len(self._tables)} tables)"
         )
+
+
+@dataclasses.dataclass
+class SlotRows:
+    """Slots ``[lo, lo + len(seq_len))`` as a forward's cache, row ``i``
+    holding ``seq_len[i]`` positions; :meth:`append` scatters the new K and
+    V after them and returns views as wide as the longest row.  Positions
+    past a shorter row hold stale finite values, which the causal mask
+    hides: their ``exp`` underflows to the zeros zero padding would give.
+    """
+
+    store: np.ndarray
+    lo: int
+    seq_len: np.ndarray
+
+    def append(
+        self, layer: int, k: np.ndarray, v: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        n, _, t, _ = k.shape
+        rows = np.arange(self.lo, self.lo + n)[:, None]
+        positions = self.seq_len[:, None] + np.arange(t)
+        keys, values = self.store[0, layer], self.store[1, layer]
+        keys[rows, :, positions] = k.transpose(0, 2, 1, 3)
+        values[rows, :, positions] = v.transpose(0, 2, 1, 3)
+        span, width = slice(self.lo, self.lo + n), int(self.seq_len.max()) + t
+        return keys[span, :, :width], values[span, :, :width]

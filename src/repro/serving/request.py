@@ -1,7 +1,7 @@
 """Request lifecycle state for the rollout serving engine.
 
 A request moves ``QUEUED -> RUNNING -> FINISHED``, possibly detouring
-through ``PREEMPTED`` (blocks reclaimed, KV cache dropped, re-queued for
+through ``PREEMPTED`` (blocks reclaimed, KV slot freed, re-queued for
 recompute) any number of times.  Sampled tokens survive preemption — the
 recompute prefill replays ``prompt + generated`` so the sequence resumes
 exactly where it stopped, and because the per-request rng draws once per
@@ -16,8 +16,6 @@ import enum
 from typing import List, Optional
 
 import numpy as np
-
-from repro.models.tinylm import KVCache
 
 
 class RequestState(enum.Enum):
@@ -43,8 +41,8 @@ class Request:
     rng: Optional[np.random.Generator] = dataclasses.field(
         default=None, repr=False
     )
-    #: Dense KV payload while resident; ``None`` when queued/preempted.
-    cache: Optional[KVCache] = dataclasses.field(default=None, repr=False)
+    #: Slot in the serving K/V store while resident; ``None`` otherwise.
+    cache: Optional[int] = None
     #: Token positions currently cached (<= seq_len; the newest sampled
     #: token is only cached by the *next* forward).
     kv_len: int = 0

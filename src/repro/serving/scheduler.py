@@ -12,12 +12,13 @@ plus the two policies a real rollout server needs on top:
   request can be overtaken only finitely often: no starvation.
 * **Preempt-and-recompute** — when the block pool cannot cover a running
   sequence's next token, the lowest-ranked runner is evicted (the
-  requester itself when it ranks last): its
-  blocks return to the pool, its dense KV cache is freed
-  (:meth:`repro.models.tinylm.KVCache.free`), and it re-queues keeping its
-  sampled tokens.  On re-admission a single prefill over ``prompt +
-  generated`` rebuilds the cache — vLLM's recomputation recovery, which
-  trades FLOPs for never swapping KV off-device.
+  requester itself when it ranks last): its blocks return to the pool, its
+  slot of the K/V store is freed (:meth:`repro.serving.paged_kv.PagedKVCache
+  .free_slot`, which keeps the slots compact), and it re-queues keeping its
+  sampled tokens.  On re-admission a prefill over ``prompt + generated``
+  rebuilds its K/V, in one forward with every admission of the same context
+  length — vLLM's recomputation recovery, which trades FLOPs for never
+  swapping KV off-device.
 
 Admission is head-of-line: if the highest-ranked eligible request does not
 fit the free blocks, nothing behind it is admitted this step.  Skipping
@@ -127,9 +128,7 @@ class ContinuousBatchScheduler:
     def preempt(self, victim: Request) -> None:
         """Evict a runner: blocks back to the pool, KV dropped, re-queued."""
         self.kv.release(victim.request_id)
-        if victim.cache is not None:
-            victim.cache.free()
-            victim.cache = None
+        self.kv.free_slot(victim)
         victim.recomputed_tokens += victim.kv_len
         victim.kv_len = 0
         victim.state = RequestState.PREEMPTED
@@ -141,13 +140,13 @@ class ContinuousBatchScheduler:
     # -- completion ------------------------------------------------------------------
 
     def finish(self, req: Request) -> None:
-        """Release a finished runner's blocks and cache, free its slot."""
+        """Release a finished runner's blocks and K/V slot."""
         self.kv.release(req.request_id)
-        if req.cache is not None:
-            req.cache.free()
-            req.cache = None
+        self.kv.free_slot(req)
         req.state = RequestState.FINISHED
         self.running.remove(req)
+        if not (self.running or self.waiting):
+            self.kv.store = None  # drained; kept while any wait (refaults cost)
 
     # -- invariants (asserted by tests) ----------------------------------------------
 
@@ -155,6 +154,8 @@ class ContinuousBatchScheduler:
         """Raise ``AssertionError`` if the block accounting drifted."""
         assert self.kv.blocks_in_use <= self.kv.n_blocks
         assert len(self.running) <= self.config.max_slots
+        assert [r.cache for r in self.kv.slots] == list(range(len(self.kv.slots)))
+        assert self.kv.store is None or self.running or self.waiting
         for req in self.running:
             held = len(self.kv.block_table(req.request_id))
             assert held == self.kv.blocks_needed(req.kv_len), (

@@ -8,16 +8,17 @@ the same step accounting as the analytical model in
 :mod:`repro.perf.continuous_batching`, so the two can be cross-checked on
 matched workloads.
 
-Each admission is prefilled by its own forward into a per-request KV cache
-allocated once at the request's capacity; every later step decodes all
-running requests in one forward, each row at its own KV length (the
-attention's causal rule on absolute positions also hides the padding of
-shorter rows).  Per-request rngs make the sampled tokens independent of
-which rows share a forward, so greedy serving output matches
+K/V live in one slot-major store (:mod:`repro.serving.paged_kv`) whose ``n``
+running requests hold slots ``[0, n)``.  Admissions prefill one forward per
+context length; every later step decodes all running requests in one
+forward over those slots, each row at its own KV length (the attention's
+causal rule on absolute positions also hides stale positions past shorter
+rows).  Per-request rngs make the sampled tokens independent of which rows
+share a forward, so greedy serving output matches
 :func:`repro.models.sampler.generate` row by row — the property the actor's
 serving-backed path relies on (and tests assert).  Log-probs are
-bit-identical while the rows share one length; padding only reorders the
-rounding of attention sums (differential tests bound the gap at 1e-12).
+bit-identical while the rows share one length; a ragged batch only reorders
+the rounding of attention sums (differential tests bound the gap at 1e-12).
 
 Latency accounting: the simulated clock advances ``step_time`` per decode
 step; TTFT/TPOT/latency and SLO attainment are computed per request from
@@ -27,6 +28,7 @@ arrival/first-token/finish stamps.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -37,8 +39,8 @@ from repro.models.autograd import no_grad
 # ``perfbench/tracer.py`` wraps both samplers where the engine looks them up
 from repro.models.sampler import sample_tokens  # noqa: F401
 from repro.models.sampler import sample_tokens_batch, sampled_log_probs
-from repro.models.tinylm import KVCache, TinyLM
-from repro.serving.paged_kv import PagedKVCache
+from repro.models.tinylm import TinyLM
+from repro.serving.paged_kv import PagedKVCache, SlotRows, kv_bytes_per_token
 from repro.serving.request import CompletedRequest, Request, RequestState
 from repro.serving.scheduler import ContinuousBatchScheduler, SchedulerConfig
 
@@ -248,6 +250,7 @@ class RolloutServer:
             block_size=self.config.block_size,
             n_blocks=self._resolve_n_blocks(model, device),
             device=device,
+            max_slots=self.config.max_slots,
         )
         self.scheduler = ContinuousBatchScheduler(
             SchedulerConfig(
@@ -263,7 +266,6 @@ class RolloutServer:
         self._next_id = 0
         self._completed: List[CompletedRequest] = []
         self._steps = 0
-        self._occupied_slot_steps = 0
         self._tokens = 0
 
     def _resolve_n_blocks(
@@ -277,8 +279,6 @@ class RolloutServer:
         cap = cfg.max_slots * per_seq
         if device is None:
             return cap
-        from repro.serving.paged_kv import kv_bytes_per_token
-
         bytes_per_block = kv_bytes_per_token(model.config) * cfg.block_size
         affordable = int(
             device.memory.free * cfg.memory_fraction
@@ -322,6 +322,7 @@ class RolloutServer:
                 f"pool only has {self.kv.n_blocks}; preemption could never "
                 "make it fit"
             )
+        self.kv.capacity = max(self.kv.capacity, max_len - 1)
         request_id = self._next_id
         self._next_id += 1
         req = Request(
@@ -357,9 +358,9 @@ class RolloutServer:
         for every decoding runner in rank order (a runner short of blocks
         evicts the worst-ranked runner, itself when it ranks last, so every
         victim is strictly later in the pass than its evictor), prefill
-        admissions one forward each, then decode every surviving runner in
-        one forward whatever its KV length.  Per-request rngs make the
-        emitted tokens independent of how rows share forwards.
+        admissions one forward per context length, then decode every
+        surviving runner in one forward whatever its KV length.  Per-request
+        rngs make the emitted tokens independent of how rows share forwards.
         Returns the requests that finished this step.
         """
         step_end = self.now + self.config.step_time
@@ -381,7 +382,7 @@ class RolloutServer:
                     prefill.append(req)
                 elif self.scheduler.ensure_decode_blocks(req):
                     decode.append(req)
-            logits = [self._prefill(req) for req in prefill]
+            logits = [self._prefill(prefill)] if prefill else []
             if decode:
                 logits.append(self._decode(decode))
             emitting = prefill + decode
@@ -400,7 +401,6 @@ class RolloutServer:
                     finished_now.append(self._finish(req, step_end, "length"))
         produced = len(emitting)
         self._steps += 1
-        self._occupied_slot_steps += produced
         self._tokens += produced
         self.now = step_end
         if self.metrics is not None and produced:
@@ -414,49 +414,48 @@ class RolloutServer:
             )
         return finished_now
 
-    def _prefill(self, req: Request) -> np.ndarray:
-        """Cache a fresh admission's whole context; its last-position logits.
-
-        Also the post-preemption recompute: the context is ``prompt +
-        generated``.  The cache is allocated once at every position the
-        request will ever cache (its last token is never fed back).
+    def _prefill(self, reqs: List[Request]) -> np.ndarray:
+        """Cache admissions' contexts (``prompt + generated``: also the
+        post-preemption recompute) into the next slots, sorted by length, one
+        forward per cohort of one length; their last-position logits.  A
+        cohort row equals the row prefilled alone bit for bit (numpy runs one
+        GEMM per 2-D slice), which rows padded to one length would not.
         """
-        req.cache = KVCache(
-            self.model.config.n_layers,
-            capacity=req.prompt_length + req.max_new_tokens - 1,
-        )
-        context = req.tokens()
-        logits = self.model.forward(
-            context[None, :], cache=req.cache, pos_offset=0
-        )
-        req.kv_len = int(context.shape[0])
-        return logits.data[:, -1, :]
+        by_len = sorted(reqs, key=lambda r: r.seq_len)
+        self.kv.take_slots(by_len)
+        logits = []
+        for n, cohort in itertools.groupby(by_len, key=lambda r: r.seq_len):
+            cohort = list(cohort)
+            zeros = np.zeros(len(cohort), dtype=np.int64)
+            rows = SlotRows(self.kv.store, cohort[0].cache, zeros)
+            context = np.stack([r.tokens() for r in cohort])
+            logits.append(self.model.forward(context, cache=rows).data[:, -1])
+            for r in cohort:
+                r.kv_len = n
+        first = by_len[0].cache
+        return np.concatenate(logits)[[r.cache - first for r in reqs]]
 
     def _decode(self, reqs: List[Request]) -> np.ndarray:
         """Feed each runner its newest token; logits ``(len(reqs), vocab)``.
 
-        Batched, one forward covers every row with its own ``pos_offset``
-        and cache; the per-slot oracle runs one forward per request.
+        The runners hold slots ``[0, len(reqs))`` and run in slot order:
+        batched, one forward over all of them, each row at its own
+        ``pos_offset``; the per-slot oracle, one forward per slot.
         """
-        last = np.asarray([[r.generated[-1]] for r in reqs], dtype=np.int64)
-        if self.config.batched_decode:
-            logits = self.model.forward(
-                last,
-                cache=[r.cache for r in reqs],
-                pos_offset=np.asarray([r.kv_len for r in reqs], dtype=np.int64),
-            ).data
-        else:
-            logits = np.concatenate(
-                [
-                    self.model.forward(
-                        last[i : i + 1], cache=r.cache, pos_offset=r.kv_len
-                    ).data
-                    for i, r in enumerate(reqs)
-                ]
+        by_slot = sorted(reqs, key=lambda r: r.cache)
+        last = np.asarray([[r.generated[-1]] for r in by_slot], dtype=np.int64)
+        lens = np.asarray([r.kv_len for r in by_slot], dtype=np.int64)
+        step = len(reqs) if self.config.batched_decode else 1
+        logits = []
+        for lo in range(0, len(reqs), step):
+            rows = SlotRows(self.kv.store, lo, lens[lo : lo + step])
+            out = self.model.forward(
+                last[lo : lo + step], cache=rows, pos_offset=rows.seq_len
             )
+            logits.append(out.data[:, -1])
         for r in reqs:
             r.kv_len += 1
-        return logits[:, -1, :]
+        return np.concatenate(logits)[[r.cache for r in reqs]]
 
     def _emit(
         self, reqs: List[Request], logits: np.ndarray
@@ -545,7 +544,7 @@ class RolloutServer:
             completed=sorted(self._completed, key=lambda r: r.request_id),
             n_steps=self._steps,
             total_tokens=self._tokens,
-            slot_utilisation=self._occupied_slot_steps / denominator,
+            slot_utilisation=self._tokens / denominator,
             n_preemptions=self.scheduler.n_preemptions,
             recomputed_tokens=sum(
                 r.recomputed_tokens for r in self._completed
@@ -565,12 +564,9 @@ class RolloutServer:
                 "repro_serving_kv_blocks_peak",
                 "Peak KV blocks in use",
             ).set_max(report.peak_kv_blocks)
-            self.metrics.counter(
+            preempt_counter = self.metrics.counter(
                 "repro_serving_preemptions_total",
                 "Sequences preempted under block pressure",
-            )
-            preempt_counter = self.metrics.get(
-                "repro_serving_preemptions_total"
             )
             delta = report.n_preemptions - preempt_counter.value
             if delta > 0:

@@ -19,6 +19,7 @@ from repro.pipeline import (
     BufferFull,
     ExperienceBuffer,
     PipelineConfig,
+    StalenessWindowMismatch,
     staleness_zero_check,
 )
 from repro.rlhf.core import AlgoType
@@ -302,6 +303,52 @@ class TestRecoveryMidOverlap:
         assert histories_equal(
             oracle_sys.trainer.history[1:], restored_sys.trainer.history[1:]
         )
+
+
+    def _w2_checkpoint(self, tmp_path, rollouts):
+        """A W=2 mid-overlap checkpoint: ``rollouts`` generated, 1 trained."""
+        driver = AsyncPipelineDriver(
+            build_system().trainer, PipelineConfig(staleness_window=2)
+        )
+        batches = dataset().iter_batches(4, epochs=100)
+        for _ in range(3):
+            driver._rollout(next(batches))
+        driver._train_one()
+        for _ in range(rollouts - 3):
+            driver._rollout(next(batches))  # generated at version 1
+        driver.save_checkpoint(str(tmp_path / "ckpt"))
+        return driver
+
+    @pytest.mark.parametrize("rollouts", [3, 4])
+    def test_narrower_window_refuses_a_wider_checkpoint(self, tmp_path, rollouts):
+        # 4 rollouts: 3 buffered, more than W=1's 2 slots; 3 rollouts: 2
+        # buffered, but iteration 2 was generated at version 0, staleness 2
+        self._w2_checkpoint(tmp_path, rollouts)
+        narrow = AsyncPipelineDriver(
+            build_system().trainer, PipelineConfig(staleness_window=1)
+        )
+        with pytest.raises(StalenessWindowMismatch, match="window 2.*window 1"):
+            narrow.load_checkpoint(str(tmp_path / "ckpt"))
+        assert narrow.buffer.capacity == 2 and len(narrow.buffer) == 0
+        assert narrow._next_gen == 0
+
+    def test_same_wider_window_resumes_bit_exact(self, tmp_path):
+        saved = self._w2_checkpoint(tmp_path, 4)
+        restored_sys = build_system()
+        restored = AsyncPipelineDriver(
+            restored_sys.trainer, PipelineConfig(staleness_window=2)
+        )
+        restored.load_checkpoint(str(tmp_path / "ckpt"))
+        assert restored.buffer.capacity == 3 and len(restored.buffer) == 3
+        restored.train(dataset(), n_iterations=4, batch_size=4)
+        oracle_sys = build_system()
+        oracle = AsyncPipelineDriver(
+            oracle_sys.trainer, PipelineConfig(staleness_window=2)
+        )
+        oracle.train(dataset(), n_iterations=5, batch_size=4)
+        assert states_equal(oracle_sys, restored_sys)
+        assert restored.max_staleness_seen == oracle.max_staleness_seen == 2
+        assert saved.max_staleness_seen == 0
 
 
 class TestWeightPublisher:

@@ -723,7 +723,9 @@ class TestRaggedDecodeDifferential:
             np.testing.assert_array_equal(a.response, b.response)
             np.testing.assert_array_equal(a.log_probs, b.log_probs)
 
-    def test_one_decode_forward_per_step_plus_one_per_admission(self, model):
+    def test_one_decode_forward_per_step_plus_one_per_admitted_length(
+        self, model
+    ):
         rng = np.random.default_rng(12)
         server = make_server(model, max_slots=4, greedy=False, seed=2)
         for n, budget in zip(rng.integers(1, 10, size=10), rng.integers(1, 9, size=10)):
@@ -732,26 +734,37 @@ class TestRaggedDecodeDifferential:
                 max_new_tokens=int(budget),
             )
         calls = 0
-        original = model.forward
+        lengths = set()
+        original, schedule = model.forward, server.scheduler.schedule
 
         def counting(*args, **kwargs):
             nonlocal calls
             calls += 1
             return original(*args, **kwargs)
 
+        def scheduling(now):
+            admitted = schedule(now)
+            lengths.update(r.seq_len for r in admitted)
+            return admitted
+
         model.forward = counting
+        server.scheduler.schedule = scheduling
+        cohorts = 0
         try:
             while server.pending:
                 calls = 0
+                lengths.clear()
                 admitted = server.scheduler.n_admissions
                 tokens = server._tokens
                 server.step()
                 admitted = server.scheduler.n_admissions - admitted
                 decoded = server._tokens - tokens - admitted
-                assert calls == admitted + (decoded > 0)
+                assert calls == len(lengths) + (decoded > 0)
+                cohorts += admitted - len(lengths)
         finally:
             model.forward = original
         assert server.report().n_preemptions == 0
+        assert cohorts > 0  # some step admitted two requests of one length
 
 
 class TestPreemptionOrder:
@@ -792,6 +805,98 @@ class TestPreemptionOrder:
             np.testing.assert_allclose(
                 a.log_probs, b.log_probs, rtol=0, atol=RAGGED_LOGP_ATOL
             )
+
+
+class TestSlotStore:
+    """The slot-major K/V store: compaction, release, cohorts, regrowth."""
+
+    @staticmethod
+    def _serve(model, prompts, budgets, priorities=None, **config):
+        server = make_server(model, **config)
+        for i, (prompt, budget) in enumerate(zip(prompts, budgets)):
+            priority = 0 if priorities is None else priorities[i]
+            server.submit(prompt, max_new_tokens=budget, priority=priority)
+        return server
+
+    @staticmethod
+    def _cached(server, req):
+        return server.kv.store[:, :, req.cache, :, : req.kv_len].copy()
+
+    def _check_move(self, model, prompts, budgets, hole, **config):
+        """Two steps free slot ``hole``; the last slot's K/V moves there
+        unchanged, and the drain still equals the per-slot oracle."""
+        server = self._serve(model, prompts, budgets, **config)
+        server.step()
+        moved = server.kv.slots[-1]
+        before = self._cached(server, moved)
+        server.step()
+        assert moved.cache == hole and len(server.kv.slots) == len(prompts) - 1
+        after = self._cached(server, moved)
+        np.testing.assert_array_equal(after[..., : before.shape[-2], :], before)
+        batched = drain_with_invariants(server)
+        oracle = self._serve(model, prompts, budgets, batched_decode=False, **config)
+        per_slot = drain_with_invariants(oracle)
+        for a, b in zip(batched.completed, per_slot.completed):
+            np.testing.assert_array_equal(a.response, b.response)
+            np.testing.assert_allclose(
+                a.log_probs, b.log_probs, rtol=0, atol=RAGGED_LOGP_ATOL
+            )
+        return batched
+
+    def test_middle_slot_finishing_moves_the_last_slot_into_the_hole(self, model):
+        # one cohort of three: slots 0, 1, 2; slot 1 finishes at step 2
+        prompts = [np.arange(3), np.arange(1, 4), np.arange(2, 5)]
+        report = self._check_move(model, prompts, [5, 2, 5], hole=1)
+        assert report.n_preemptions == 0
+
+    def test_middle_slot_preempted_moves_the_last_slot_into_the_hole(self, model):
+        # slots sort by context length: 2 (priority 2), 4 (0), 6 (1); at
+        # step 2 the length-4 request needs a second block of a full pool
+        # and, ranked last, evicts itself from the middle slot
+        prompts = [np.arange(2), np.arange(4), np.arange(6)]
+        report = self._check_move(
+            model, prompts, [6, 6, 6], hole=1, n_blocks=4, priorities=[2, 0, 1]
+        )
+        assert report.n_preemptions >= 1
+
+    def test_drained_server_holds_no_kv_arrays(self, model):
+        server = self._serve(model, [np.arange(3), np.arange(5)], [4, 2])
+        server.step()
+        assert server.kv.store.shape[:3] == (2, CFG.n_layers, 4)
+        server.drain()
+        assert server.kv.store is None and server.kv.slots == []
+
+    def test_equal_prompts_prefill_in_one_forward(self, model):
+        # a GRPO group: one prompt repeated, admitted in one step
+        server = self._serve(model, [np.arange(5)] * 4, [3] * 4, greedy=False)
+        calls = []
+        original = model.forward
+        model.forward = lambda *a, **k: calls.append(a[0].shape) or original(*a, **k)
+        try:
+            server.step()
+        finally:
+            model.forward = original
+        assert calls == [(4, 5)]
+
+    def test_longer_request_regrows_the_store_output_unchanged(self, model):
+        short, long = np.arange(2), np.arange(1, 9)
+        regrown = self._serve(model, [short], [4], greedy=False)
+        regrown.step()
+        assert regrown.kv.store.shape[-2] == 2 + 4 - 1
+        before = self._cached(regrown, regrown.kv.slots[0])
+        regrown.submit(long, max_new_tokens=10)
+        regrown.step()  # admits the long request: the store regrows
+        assert regrown.kv.store.shape[-3:] == (CFG.n_heads, 8 + 10 - 1, CFG.head_dim)
+        after = self._cached(regrown, regrown.kv.slots[0])
+        np.testing.assert_array_equal(after[..., : before.shape[-2], :], before)
+        # the same schedule, with the store sized for both from the start
+        sized = self._serve(model, [short], [4], greedy=False)
+        sized.submit(long, max_new_tokens=10, arrival_time=sized.config.step_time)
+        reports = [s.drain() for s in (regrown, sized)]
+        assert reports[0].n_steps == reports[1].n_steps
+        for a, b in zip(*(r.completed for r in reports)):
+            np.testing.assert_array_equal(a.response, b.response)
+            np.testing.assert_array_equal(a.log_probs, b.log_probs)
 
 
 class TestDrainBudget:

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.models import tinylm
 from repro.models.adam import Adam
 from repro.models.autograd import Tensor, no_grad
 from repro.models.sampler import generate
 from repro.models.tinylm import KVCache, TinyLM, TinyLMConfig
+from repro.serving.paged_kv import SlotRows
 
 
 @pytest.fixture
@@ -156,15 +156,38 @@ class TestKVCache:
         )
 
 
+def slot_store(config, n_slots):
+    """A zeroed slot-major K/V store, laid out as the serving engine's."""
+    return np.zeros(
+        (2, config.n_layers, n_slots, config.n_heads, config.max_seq_len, config.head_dim)
+    )
+
+
+def slots(store, lo, seq_len):
+    return SlotRows(store, lo, np.asarray(seq_len, dtype=np.int64))
+
+
 class TestRaggedForward:
-    """One forward over rows whose caches hold different lengths."""
+    """One forward over a slot range whose rows hold different lengths."""
+
+    def _ragged(self, model, config, rows, store):
+        lengths = np.asarray([len(row) - 1 for row in rows])
+        for slot, row in enumerate(rows):
+            model.forward(
+                row[None, :-1], cache=slots(store, slot, [0]), pos_offset=0
+            )
+        return model.forward(
+            np.asarray([[row[-1]] for row in rows], dtype=np.int64),
+            cache=slots(store, 0, lengths),
+            pos_offset=lengths,
+        ).data[:, -1]
 
     def test_matches_each_row_alone(self, model, config):
         lengths = [2, 7, 4, 7]
         rng = np.random.default_rng(3)
         rows = [rng.integers(0, config.vocab_size, size=n + 1) for n in lengths]
         with no_grad():
-            alone, caches = [], []
+            alone = []
             for row in rows:
                 solo = KVCache(config.n_layers)
                 model.forward(row[None, :-1], cache=solo)
@@ -173,27 +196,32 @@ class TestRaggedForward:
                         row[None, -1:], cache=solo, pos_offset=len(row) - 1
                     ).data[0, -1]
                 )
-                cache = KVCache(config.n_layers, capacity=len(row))
-                model.forward(row[None, :-1], cache=cache)
-                caches.append(cache)
-            ragged = model.forward(
-                np.asarray([[row[-1]] for row in rows], dtype=np.int64),
-                cache=caches,
-                pos_offset=np.asarray(lengths, dtype=np.int64),
-            ).data[:, -1]
+            ragged = self._ragged(model, config, rows, slot_store(config, 4))
         np.testing.assert_allclose(ragged, np.stack(alone), rtol=0, atol=1e-12)
-        assert [c.seq_len for c in caches] == [n + 1 for n in lengths]
+
+    def test_stale_positions_past_a_row_equal_zero_padding(self, model, config):
+        """Masked positions past a row's length add exact zeros, whatever
+        finite values a longer earlier occupant left there."""
+        lengths = [2, 7, 4]
+        rng = np.random.default_rng(4)
+        rows = [rng.integers(0, config.vocab_size, size=n + 1) for n in lengths]
+        stale = slot_store(config, 3)
+        with no_grad():
+            longer = rng.integers(0, config.vocab_size, size=(3, 12))
+            model.forward(longer, cache=slots(stale, 0, [0, 0, 0]))
+            zeroed = self._ragged(model, config, rows, slot_store(config, 3))
+            reused = self._ragged(model, config, rows, stale)
+        assert np.abs(stale[:, :, 0, :, 3:12]).min() > 0.0  # stale, not zero
+        np.testing.assert_array_equal(reused, zeroed)
 
     def test_per_row_offsets_must_match_the_caches(self, model, config):
         with no_grad():
-            caches = [KVCache(config.n_layers) for _ in range(2)]
-            for cache in caches:
-                model.forward(tokens(config, batch=1, seq=3), cache=cache)
+            store = slot_store(config, 2)
+            model.forward(tokens(config, seq=3), cache=slots(store, 0, [0, 0]))
             last = np.zeros((2, 1), dtype=np.int64)
-            with pytest.raises(ValueError, match="per-row pos_offset"):
-                model.forward(last, cache=caches, pos_offset=np.array([3, 2]))
-            with pytest.raises(ValueError, match="per-row pos_offset"):
-                model.forward(last, cache=None, pos_offset=np.array([3, 3]))
+            for cache in (slots(store, 0, [3, 3]), None, KVCache(config.n_layers)):
+                with pytest.raises(ValueError, match="per-row pos_offset"):
+                    model.forward(last, cache=cache, pos_offset=np.array([3, 2]))
 
 
 class TestTapeFreeForward:
@@ -253,49 +281,47 @@ class TestTapeFreeForward:
         assert not out.requires_grad
 
     @pytest.mark.parametrize("grad", [False, True])
-    def test_ragged_forward_gathers_into_one_zero_padded_pair(
+    def test_ragged_forward_reads_zero_copy_views_of_the_store(
         self, model, config, monkeypatch, grad
     ):
-        """Tape-free, every layer gathers into one pair; the tape gets one
-        per layer, since its graph keeps each layer's K/V."""
+        """Every layer attends through views of its own store arrays, as
+        wide as the longest row: no gather copy, on or off the tape."""
         rng = np.random.default_rng(5)
         lengths = [2, 6, 3]
-        caches = []
+        store = slot_store(config, 4)
         with no_grad():
-            for n in lengths:
-                cache = KVCache(config.n_layers, capacity=config.max_seq_len)
+            for slot, n in enumerate(lengths):
                 model.forward(
-                    rng.integers(0, config.vocab_size, size=(1, n)), cache=cache
+                    rng.integers(0, config.vocab_size, size=(1, n)),
+                    cache=slots(store, slot, [0]),
                 )
-                caches.append(cache)
-        pairs = []
-        original = tinylm._append_rows
+        views = []
+        original = SlotRows.append
 
-        def spy(caches, layer, k, v, out):
-            keys, values = original(caches, layer, k, v, out)
-            pairs.append((keys, values))
-            for i, n in enumerate(lengths):
-                # row i now caches n + 1 positions; its padding stays zero
-                np.testing.assert_array_equal(keys[i, :, n + 1 :], 0.0)
-                np.testing.assert_array_equal(values[i, :, n + 1 :], 0.0)
-                assert np.abs(keys[i, :, : n + 1]).min() > 0.0
+        def spy(self, layer, k, v):
+            keys, values = original(self, layer, k, v)
+            views.append((layer, keys, values))
             return keys, values
 
-        monkeypatch.setattr(tinylm, "_append_rows", spy)
+        monkeypatch.setattr(SlotRows, "append", spy)
         created = count_tensors(monkeypatch)
         with contextlib.nullcontext() if grad else no_grad():
             model.forward(
                 rng.integers(0, config.vocab_size, size=(3, 1)),
-                cache=caches,
+                cache=slots(store, 0, lengths),
                 pos_offset=np.asarray(lengths),
             )
-        assert len(pairs) == config.n_layers
-        assert pairs[0][0].shape == (3, config.n_heads, 7, config.head_dim)
-        distinct = {(id(keys), id(values)) for keys, values in pairs}
-        if grad:
-            assert len(distinct) == config.n_layers
-        else:
-            assert len(distinct) == 1
+        assert [layer for layer, _k, _v in views] == list(range(config.n_layers))
+        for layer, keys, values in views:
+            assert keys.shape == (3, config.n_heads, 7, config.head_dim)
+            assert np.shares_memory(keys, store[0, layer])
+            assert np.shares_memory(values, store[1, layer])
+            for i, n in enumerate(lengths):
+                # row i now caches n + 1 positions; the rest stay untouched
+                assert np.abs(keys[i, :, : n + 1]).min() > 0.0
+                np.testing.assert_array_equal(keys[i, :, n + 1 :], 0.0)
+        np.testing.assert_array_equal(store[:, :, 3], 0.0)  # outside the range
+        if not grad:
             assert len(created) <= 2
 
 
@@ -424,8 +450,7 @@ class TestKVCacheTrimFree:
             np.testing.assert_allclose(v1, v2, atol=1e-12)
 
     def test_trim_shrinks_bytes_after_preemption(self, model, config):
-        # the preempt-and-recompute path in repro.serving relies on trim/free
-        # actually returning memory
+        # trim/free must actually stop counting the dropped positions
         ids = tokens(config, seq=8)
         with no_grad():
             cache = KVCache(config.n_layers)
